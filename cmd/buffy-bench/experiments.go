@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -89,7 +90,7 @@ func runCS1() error {
 	}
 	fmt.Printf("%3s  %10s  %8s  %9s  %s\n", "T", "status", "time", "conflicts", "q1 served")
 	for _, T := range []int{4, 6, 8, 10} {
-		res, err := prog.FindWitness(core.Analysis{T: T, Params: map[string]int64{"N": 3}})
+		res, err := prog.FindWitnessContext(context.Background(), core.Analysis{T: T, Params: map[string]int64{"N": 3}})
 		if err != nil {
 			return err
 		}
@@ -113,7 +114,7 @@ func runCS1b() error {
 	// in a 4-step horizon even a fair scheduler serves queue 1 only once.
 	fmt.Printf("%3s  %10s  %8s\n", "T", "status", "time")
 	for _, T := range []int{6, 8, 10} {
-		res, err := prog.FindWitness(core.Analysis{T: T, Params: map[string]int64{"N": 3}})
+		res, err := prog.FindWitnessContext(context.Background(), core.Analysis{T: T, Params: map[string]int64{"N": 3}})
 		if err != nil {
 			return err
 		}
@@ -164,7 +165,7 @@ func runA1() error {
 		if err != nil {
 			return err
 		}
-		res, err := prog.FindWitness(core.Analysis{
+		res, err := prog.FindWitnessContext(context.Background(), core.Analysis{
 			T: 6, Params: map[string]int64{"N": 2}, Model: model,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,6 +45,7 @@ type portfolioRow struct {
 // one core, so a width-N race only wins where some config beats classic
 // by more than Nx; with real parallelism every fast-config win shows.
 func runPortfolioExp() error {
+	ctx := context.Background()
 	examples := []struct {
 		name   string
 		src    string
@@ -68,42 +70,25 @@ func runPortfolioExp() error {
 		}
 		a := core.Analysis{T: ex.t, Params: ex.params}
 
-		var singleStatus string
-		start := time.Now()
-		if ex.mode == "verify" {
-			res, err := prog.Verify(a)
-			if err != nil {
-				return err
-			}
-			singleStatus = res.Status.String()
-		} else {
-			res, err := prog.FindWitness(a)
-			if err != nil {
-				return err
-			}
-			singleStatus = res.Status.String()
+		check := prog.VerifyContext
+		if ex.mode == "witness" {
+			check = prog.FindWitnessContext
 		}
-		single := time.Since(start)
+		start := time.Now()
+		res, err := check(ctx, a)
+		if err != nil {
+			return err
+		}
+		single, singleStatus := time.Since(start), res.Status.String()
 
 		for _, size := range portfolioSizes {
 			pa := a
 			pa.Portfolio = size
-			var portStatus, winner string
-			var portWall time.Duration
-			if ex.mode == "verify" {
-				pr, err := prog.VerifyPortfolio(pa)
-				if err != nil {
-					return err
-				}
-				portStatus, winner, portWall = pr.Status.String(), pr.Winner, pr.WallClock
-			} else {
-				pr, err := prog.FindWitnessPortfolio(pa)
-				if err != nil {
-					return err
-				}
-				portStatus, winner, portWall = pr.Status.String(), pr.Winner, pr.WallClock
+			pr, err := check(ctx, pa)
+			if err != nil {
+				return err
 			}
-
+			portStatus, winner, portWall := pr.Status.String(), pr.Winner, pr.Duration
 			if portStatus != singleStatus {
 				return fmt.Errorf("%s (width %d): portfolio answered %s but single config answered %s",
 					ex.name, size, portStatus, singleStatus)

@@ -88,7 +88,11 @@ func runSweepExp() error {
 			return fmt.Errorf("%s cold: %w", c.name, err)
 		}
 		// Warm run: one session answers every horizon by re-solve.
-		warm, err := prog.SweepContext(ctx, a, core.SweepOptions{MaxT: c.maxT, Mode: c.mode})
+		sess, err := prog.NewSession(a, c.maxT)
+		if err != nil {
+			return fmt.Errorf("%s session: %w", c.name, err)
+		}
+		warm, err := prog.SweepWithSession(ctx, sess, a, core.SweepOptions{MaxT: c.maxT, Mode: c.mode})
 		if err != nil {
 			return fmt.Errorf("%s warm: %w", c.name, err)
 		}

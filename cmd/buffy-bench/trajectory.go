@@ -50,11 +50,11 @@ func trajectoryProbes() []trajectoryProbe {
 			if err != nil {
 				return nil, err
 			}
-			a := core.Analysis{T: t, Params: params}
-			res, err := prog.VerifyContext(ctx, a)
+			check := prog.VerifyContext
 			if witness {
-				res, err = prog.FindWitnessContext(ctx, a)
+				check = prog.FindWitnessContext
 			}
+			res, err := check(ctx, core.Analysis{T: t, Params: params})
 			if err != nil {
 				return nil, err
 			}
@@ -91,7 +91,7 @@ func trajectoryProbes() []trajectoryProbe {
 			if err != nil {
 				return nil, err
 			}
-			_, err = prog.FindWitnessPortfolioContext(ctx, core.Analysis{
+			_, err = prog.FindWitnessContext(ctx, core.Analysis{
 				T: 8, Params: map[string]int64{"N": 3}, Portfolio: 4})
 			return nil, err
 		}},

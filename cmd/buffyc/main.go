@@ -35,7 +35,6 @@ import (
 	"buffy/internal/core"
 	"buffy/internal/lang/ast"
 	"buffy/internal/lang/sema"
-	"buffy/internal/portfolio"
 	"buffy/internal/session"
 	"buffy/internal/smt/sat"
 	"buffy/internal/telemetry"
@@ -162,47 +161,19 @@ func main() {
 		Progress: progress,
 	}
 
+	var winner string // the portfolio config that answered, "" outside a race
 	switch *mode {
-	case "verify":
-		if a.Portfolio > 1 {
-			runPortfolio(ctx, prog, a, false, *stats, *planOut, rec)
-			printTrace(tr, *traceJSON)
-			return
+	case "verify", "witness":
+		check := prog.VerifyContext
+		if *mode == "witness" {
+			check = prog.FindWitnessContext
 		}
-		res, err := prog.VerifyContext(ctx, a)
+		res, err := check(ctx, a)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s: %v (%.3fs, %d clauses, %d vars, %d conflicts)\n",
-			prog.Name(), res.Status, res.Duration.Seconds(), res.NumClauses, res.NumVars, res.SatStats.Conflicts)
-		printStats(*stats, res)
-		if res.Trace != nil {
-			fmt.Print(res.Trace)
-			savePlan(*planOut, res.Trace)
-		}
-	case "witness":
-		if a.Portfolio > 1 {
-			runPortfolio(ctx, prog, a, true, *stats, *planOut, rec)
-			printTrace(tr, *traceJSON)
-			return
-		}
-		res, err := prog.FindWitnessContext(ctx, a)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: %v (%.3fs)\n", prog.Name(), res.Status, res.Duration.Seconds())
-		printStats(*stats, res)
-		if res.Trace != nil {
-			fmt.Print(res.Trace)
-			savePlan(*planOut, res.Trace)
-			if len(res.Trace.Vars) > 0 {
-				fmt.Println("final monitors/globals:")
-				last := res.Trace.Vars[len(res.Trace.Vars)-1]
-				for name, v := range last {
-					fmt.Printf("  %s = %d\n", name, v)
-				}
-			}
-		}
+		printCheck(prog.Name(), res, *stats, *planOut)
+		winner = res.Winner
 	case "sweep":
 		runSweep(ctx, prog, a, *maxT, *sweepWitness, *stats, *planOut)
 	case "synth":
@@ -282,7 +253,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
-	printExplain(rec, "")
+	printExplain(rec, winner)
 	printTrace(tr, *traceJSON)
 }
 
@@ -346,7 +317,11 @@ func runSweep(ctx context.Context, prog *core.Program, a core.Analysis, maxT int
 	if witness {
 		mode = smtbe.Witness
 	}
-	sr, err := prog.SweepContext(ctx, a, core.SweepOptions{
+	sess, err := prog.NewSession(a, maxT)
+	if err != nil {
+		fatal(err)
+	}
+	sr, err := prog.SweepWithSession(ctx, sess, a, core.SweepOptions{
 		MaxT: maxT, Mode: mode,
 		OnVerdict: func(v session.Verdict) {
 			how := "warm"
@@ -375,25 +350,18 @@ func runSweep(ctx context.Context, prog *core.Program, a core.Analysis, maxT int
 	}
 }
 
-// runPortfolio races -portfolio diversified solver configurations on a
-// verify or witness query, reporting the winning configuration and each
-// config's search effort before rendering the winner's trace as usual.
-func runPortfolio(ctx context.Context, prog *core.Program, a core.Analysis, witness, stats bool, planOut string, rec *sat.SearchRecorder) {
-	var pr *portfolio.Result
-	var err error
-	if witness {
-		pr, err = prog.FindWitnessPortfolioContext(ctx, a)
-	} else {
-		pr, err = prog.VerifyPortfolioContext(ctx, a)
+// printCheck renders a verify/witness answer: the verdict line, then for
+// a portfolio race (-portfolio > 1) the winning configuration and each
+// config's search effort, then the stats and the trace as usual.
+func printCheck(name string, res *smtbe.Result, stats bool, planOut string) {
+	fmt.Printf("%s: %v (%.3fs, %d clauses, %d vars, %d conflicts)\n",
+		name, res.Status, res.Duration.Seconds(), res.NumClauses, res.NumVars, res.SatStats.Conflicts)
+	if len(res.Runs) > 0 {
+		fmt.Printf("portfolio of %d, winner %s:\n", len(res.Runs), res.Winner)
 	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s: %v (portfolio of %d, winner %s, %.3fs wall)\n",
-		prog.Name(), pr.Status, len(pr.Runs), pr.Winner, pr.WallClock.Seconds())
-	for _, run := range pr.Runs {
+	for _, run := range res.Runs {
 		marker := " "
-		if run.Name == pr.Winner {
+		if run.Name == res.Winner {
 			marker = "*"
 		}
 		fmt.Printf(" %s %-14s %-8v %.3fs", marker, run.Name, run.Status, run.Duration.Seconds())
@@ -406,11 +374,18 @@ func runPortfolio(ctx context.Context, prog *core.Program, a core.Analysis, witn
 		}
 		fmt.Println()
 	}
-	printExplain(rec, pr.Winner)
-	printStats(stats, pr.Result)
-	if pr.Trace != nil {
-		fmt.Print(pr.Trace)
-		savePlan(planOut, pr.Trace)
+	printStats(stats, res)
+	if res.Trace == nil {
+		return
+	}
+	fmt.Print(res.Trace)
+	savePlan(planOut, res.Trace)
+	if res.Mode == smtbe.Witness && len(res.Trace.Vars) > 0 {
+		fmt.Println("final monitors/globals:")
+		last := res.Trace.Vars[len(res.Trace.Vars)-1]
+		for name, v := range last {
+			fmt.Printf("  %s = %d\n", name, v)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const T, N = 6, 3
 	analysis := core.Analysis{T: T, Params: map[string]int64{"N": N}}
 
@@ -25,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := buggy.FindWitness(analysis)
+	res, err := buggy.FindWitnessContext(ctx, analysis)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func main() {
 	// --- 3. Generalize: what traffic pattern causes this? This is the
 	// RFC's "transmits at just the right rate" flow, discovered
 	// automatically.
-	synth, err := buggy.SynthesizeWorkload(core.Analysis{T: 5, Params: map[string]int64{"N": 2}})
+	synth, err := buggy.SynthesizeWorkloadContext(ctx, core.Analysis{T: 5, Params: map[string]int64{"N": 2}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fres, err := fixed.FindWitness(analysis)
+	fres, err := fixed.FindWitnessContext(ctx, analysis)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := prog.FindWitness(core.Analysis{
+		res, err := prog.FindWitnessContext(context.Background(), core.Analysis{
 			T: 6, Params: map[string]int64{"N": 2}, Model: model,
 		})
 		if err != nil {

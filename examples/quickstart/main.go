@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,6 +32,7 @@ limiter(buffer in0, buffer out0) {
 `
 
 func main() {
+	ctx := context.Background()
 	prog, err := core.Parse(src)
 	if err != nil {
 		log.Fatal(err)
@@ -48,7 +50,7 @@ func main() {
 
 	// --- Verification: with up to 2 arrivals per step the backlog bound
 	// breaks; the solver hands us the offending traffic pattern.
-	res, err := prog.Verify(core.Analysis{T: 4, ArrivalsPerStep: 2})
+	res, err := prog.VerifyContext(ctx, core.Analysis{T: 4, ArrivalsPerStep: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func main() {
 
 	// --- Restrict traffic and verify again: at one arrival per step both
 	// asserts hold on every execution.
-	res, err = prog.Verify(core.Analysis{T: 6, ArrivalsPerStep: 1})
+	res, err = prog.VerifyContext(ctx, core.Analysis{T: 6, ArrivalsPerStep: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	prog, err := core.Parse(qm.ShaperSrc)
 	if err != nil {
 		log.Fatal(err)
@@ -29,7 +31,7 @@ func main() {
 
 	// --- The envelope holds on every execution (all arrival patterns, all
 	// packet sizes in 1..3 bytes).
-	res, err := prog.Verify(a)
+	res, err := prog.VerifyContext(ctx, a)
 	if err != nil {
 		log.Fatal(err)
 	}

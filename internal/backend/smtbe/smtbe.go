@@ -159,6 +159,24 @@ type Result struct {
 	// for a solver run, "static" when the pre-solve static analyzer
 	// (internal/lang/sema) decided the query without solving.
 	Tier string
+	// Winner and Runs describe a portfolio race (internal/portfolio);
+	// both are empty for a single solver configuration. Winner names the
+	// first conclusive config ("" when none was), and Runs reports every
+	// config in portfolio order. A race's Duration is its wall clock.
+	Winner string
+	Runs   []ConfigRun
+}
+
+// ConfigRun is one portfolio configuration's outcome, reported for every
+// config in a race — winners and losers alike. A loser cancelled
+// mid-search reports Status Unknown with the sat.Stats it had accumulated
+// when it observed the cancellation.
+type ConfigRun struct {
+	Name     string
+	Status   Status
+	Stats    sat.Stats
+	Duration time.Duration
+	Err      string
 }
 
 // Options configures a Check.

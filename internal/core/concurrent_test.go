@@ -31,7 +31,7 @@ func TestConcurrentAnalyses(t *testing.T) {
 			defer wg.Done()
 			switch i % 4 {
 			case 0, 1: // shared program, witness direction
-				res, err := shared.FindWitness(fqAnalysis)
+				res, err := shared.FindWitnessContext(context.Background(), fqAnalysis)
 				if err != nil {
 					errs <- err
 					return
@@ -45,7 +45,7 @@ func TestConcurrentAnalyses(t *testing.T) {
 					errs <- err
 					return
 				}
-				res, err := prog.Verify(Analysis{T: 3})
+				res, err := prog.VerifyContext(context.Background(), Analysis{T: 3})
 				if err != nil {
 					errs <- err
 					return

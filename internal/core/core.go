@@ -5,12 +5,14 @@
 // and picks an analysis; the framework picks the representation.
 //
 //	prog, _ := core.Parse(src)
-//	res, _  := prog.FindWitness(core.Analysis{T: 6, Params: ...})
-//	pr, _   := prog.VerifyPortfolio(core.Analysis{T: 6, Portfolio: 4}) // race solver configs
-//	wl, _   := prog.SynthesizeWorkload(...)   // FPerf-style back-end
-//	dfy, _  := prog.GenerateDafny(...)        // Dafny back-end (source)
-//	ver, _  := prog.VerifyDafny(...)          // Dafny-style mini-verifier
-//	ok, _   := prog.ProveForAllHorizons(...)  // transition-system back-end
+//	res, _  := prog.FindWitnessContext(ctx, core.Analysis{T: 6, Params: ...})
+//	res, _   = prog.VerifyContext(ctx, core.Analysis{T: 6, Portfolio: 4}) // race solver configs
+//	sr, _   := prog.SweepWithSession(ctx, sess, a, opts) // minimal horizon; nil sess sweeps cold
+//	b, _    := prog.BoundContext(ctx, a)              // network-calculus bounds
+//	wl, _   := prog.SynthesizeWorkloadContext(ctx, a) // FPerf-style back-end
+//	dfy, _  := prog.GenerateDafny(...)                // Dafny back-end (source)
+//	ver, _  := prog.VerifyDafny(...)                  // Dafny-style mini-verifier
+//	ok, _   := prog.ProveForAllHorizons(...)          // transition-system back-end
 package core
 
 import (
@@ -109,8 +111,7 @@ type Analysis struct {
 	Search sat.Options
 	// Portfolio races this many diversified solver configurations per
 	// verify/witness query, taking the first conclusive answer (see
-	// VerifyPortfolio / FindWitnessPortfolio). 0 or 1 means a single
-	// solver; plain Verify/FindWitness ignore the field.
+	// VerifyContext). 0 or 1 means a single solver.
 	Portfolio int
 	// Progress, when non-nil, receives live CDCL search counters from
 	// every solver call made on behalf of this analysis (all portfolio
@@ -119,8 +120,9 @@ type Analysis struct {
 	Progress *sat.Progress
 	// K is the induction depth for ProveForAllHorizons (default 1).
 	K int
-	// CrossCheck makes Bound differentially validate its analytical bounds
-	// against the SMT backend at horizon T (ErrDisagreement on violation).
+	// CrossCheck makes BoundContext differentially validate its
+	// analytical bounds against the SMT backend at horizon T
+	// (ErrDisagreement on violation).
 	CrossCheck bool
 }
 
@@ -142,6 +144,16 @@ func (a Analysis) irOptions() (ir.Options, error) {
 	}, nil
 }
 
+// interpOptions configures the concrete interpreter behind Simulate and
+// Replay with the same bounds the solver encodes.
+func (a Analysis) interpOptions() interp.Options {
+	return interp.Options{
+		T: a.T, Params: a.Params,
+		BufferCap: a.BufferCap, OutBufferCap: a.OutBufferCap,
+		ListCap: a.ListCap, Width: a.Width, ArrivalsPerStep: a.ArrivalsPerStep,
+	}
+}
+
 func (a Analysis) solverOptions() solver.Options {
 	return solver.Options{
 		Width: a.Width, MaxConflicts: a.MaxConflicts,
@@ -150,94 +162,53 @@ func (a Analysis) solverOptions() solver.Options {
 	}
 }
 
-// Verify checks that every assert holds on all executions within the
-// horizon (the bounded-model-checking direction). A counterexample trace
-// is returned when one exists.
-func (p *Program) Verify(a Analysis) (*smtbe.Result, error) {
-	return p.VerifyContext(context.Background(), a)
-}
-
-// VerifyContext is Verify with cooperative cancellation: cancelling ctx
-// (or passing its deadline) aborts the in-flight solve promptly.
+// VerifyContext checks that every assert holds on all executions within
+// the horizon (the bounded-model-checking direction). A counterexample
+// trace is returned when one exists. Cancelling ctx (or passing its
+// deadline) aborts the in-flight solve promptly.
 func (p *Program) VerifyContext(ctx context.Context, a Analysis) (*smtbe.Result, error) {
-	iro, err := a.irOptions()
-	if err != nil {
-		return nil, err
-	}
-	if res := p.staticTier(ctx, a, smtbe.Verify); res != nil {
-		return res, nil
-	}
-	return smtbe.CheckContext(ctx, p.Info, smtbe.Options{IR: iro, Solver: a.solverOptions(), Mode: smtbe.Verify})
+	return p.check(ctx, a, smtbe.Verify)
 }
 
-// FindWitness searches for an execution satisfying the program's query
-// (the FPerf "can this happen" direction), returning its traffic trace.
-func (p *Program) FindWitness(a Analysis) (*smtbe.Result, error) {
-	return p.FindWitnessContext(context.Background(), a)
-}
-
-// FindWitnessContext is FindWitness with cooperative cancellation.
+// FindWitnessContext searches for an execution satisfying the program's
+// query (the FPerf "can this happen" direction), returning its traffic
+// trace. Cancellation works as for VerifyContext.
 func (p *Program) FindWitnessContext(ctx context.Context, a Analysis) (*smtbe.Result, error) {
-	iro, err := a.irOptions()
-	if err != nil {
-		return nil, err
-	}
-	if res := p.staticTier(ctx, a, smtbe.Witness); res != nil {
-		return res, nil
-	}
-	return smtbe.CheckContext(ctx, p.Info, smtbe.Options{IR: iro, Solver: a.solverOptions(), Mode: smtbe.Witness})
+	return p.check(ctx, a, smtbe.Witness)
 }
 
-// VerifyPortfolio is Verify through the portfolio layer: a.Portfolio
-// diversified solver configurations race on the query and the first
-// conclusive answer wins, with the losers cancelled cooperatively. The
-// result carries the winning config's name and every config's effort.
-func (p *Program) VerifyPortfolio(a Analysis) (*portfolio.Result, error) {
-	return p.VerifyPortfolioContext(context.Background(), a)
-}
-
-// VerifyPortfolioContext is VerifyPortfolio with cooperative cancellation.
-func (p *Program) VerifyPortfolioContext(ctx context.Context, a Analysis) (*portfolio.Result, error) {
-	return p.portfolioCheck(ctx, a, smtbe.Verify)
-}
-
-// FindWitnessPortfolio is FindWitness through the portfolio layer.
-func (p *Program) FindWitnessPortfolio(a Analysis) (*portfolio.Result, error) {
-	return p.FindWitnessPortfolioContext(context.Background(), a)
-}
-
-// FindWitnessPortfolioContext is FindWitnessPortfolio with cooperative
-// cancellation.
-func (p *Program) FindWitnessPortfolioContext(ctx context.Context, a Analysis) (*portfolio.Result, error) {
-	return p.portfolioCheck(ctx, a, smtbe.Witness)
-}
-
-func (p *Program) portfolioCheck(ctx context.Context, a Analysis, mode smtbe.Mode) (*portfolio.Result, error) {
+// check is the one verify/witness path: the static tier first, then a
+// single solver call, or with a.Portfolio > 1 a race of that many
+// diversified solver configurations over one shared encoding. A race's
+// result is the winner's, carrying the winner's name, every config's
+// effort (Runs) and the race's wall clock as Duration; a conclusive
+// disagreement between configs returns the winner's result together with
+// an error wrapping portfolio.ErrDisagreement.
+func (p *Program) check(ctx context.Context, a Analysis, mode smtbe.Mode) (*smtbe.Result, error) {
 	iro, err := a.irOptions()
 	if err != nil {
 		return nil, err
 	}
 	if res := p.staticTier(ctx, a, mode); res != nil {
-		return &portfolio.Result{Result: res, Winner: "static"}, nil
+		if a.Portfolio > 1 {
+			res.Winner = "static"
+		}
+		return res, nil
 	}
-	return portfolio.CheckContext(ctx, p.Info, portfolio.Options{
-		N:    a.Portfolio,
-		Base: smtbe.Options{IR: iro, Solver: a.solverOptions(), Mode: mode},
-	})
+	opts := smtbe.Options{IR: iro, Solver: a.solverOptions(), Mode: mode}
+	if a.Portfolio > 1 {
+		return portfolio.CheckContext(ctx, p.Info, portfolio.Options{N: a.Portfolio, Base: opts})
+	}
+	return smtbe.CheckContext(ctx, p.Info, opts)
 }
 
-// Bound runs the network-calculus back-end: analytical worst-case delay
-// and backlog bounds for the program's victim flow, answered in
+// BoundContext runs the network-calculus back-end: analytical worst-case
+// delay and backlog bounds for the program's victim flow, answered in
 // microseconds (min-plus algebra, no solver search, no horizon). With
 // a.CrossCheck set it additionally proves at horizon a.T that the bounds
 // dominate every execution the SMT backend can reach — a SAT witness
-// beyond the bound is the hard error netcalc.ErrDisagreement.
-func (p *Program) Bound(a Analysis) (*netcalc.Result, error) {
-	return p.BoundContext(context.Background(), a)
-}
-
-// BoundContext is Bound with cooperative cancellation (only the optional
-// differential cross-check solve can block; the bound itself is instant).
+// beyond the bound is the hard error netcalc.ErrDisagreement. Only that
+// cross-check solve can block on ctx; the bound itself is instant.
 func (p *Program) BoundContext(ctx context.Context, a Analysis) (*netcalc.Result, error) {
 	if err := p.vetGate(ctx, a); err != nil {
 		return nil, err
@@ -262,14 +233,8 @@ func (p *Program) BoundContext(ctx context.Context, a Analysis) (*netcalc.Result
 	return r, nil
 }
 
-// SynthesizeWorkload runs the FPerf-style back-end: find input-traffic
-// conditions under which the query is guaranteed.
-func (p *Program) SynthesizeWorkload(a Analysis) (*fperf.Result, error) {
-	return p.SynthesizeWorkloadContext(context.Background(), a)
-}
-
-// SynthesizeWorkloadContext is SynthesizeWorkload with cooperative
-// cancellation.
+// SynthesizeWorkloadContext runs the FPerf-style back-end: find
+// input-traffic conditions under which the query is guaranteed.
 func (p *Program) SynthesizeWorkloadContext(ctx context.Context, a Analysis) (*fperf.Result, error) {
 	iro, err := a.irOptions()
 	if err != nil {
@@ -354,11 +319,7 @@ func (p *Program) SMTLib(a Analysis) (string, error) {
 // Simulate runs the program concretely for T steps, feeding arrivals from
 // the supplied generator (step, inputName) -> packets.
 func (p *Program) Simulate(a Analysis, gen func(step int, input string) []interp.Packet) (*interp.Machine, error) {
-	m, err := interp.New(p.Info, interp.Options{
-		T: a.T, Params: a.Params,
-		BufferCap: a.BufferCap, OutBufferCap: a.OutBufferCap,
-		ListCap: a.ListCap, Width: a.Width, ArrivalsPerStep: a.ArrivalsPerStep,
-	})
+	m, err := interp.New(p.Info, a.interpOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -380,11 +341,7 @@ func (p *Program) Simulate(a Analysis, gen func(step int, input string) []interp
 // Replay re-executes a solver trace concretely and cross-checks the
 // observations (the differential-validation entry point).
 func (p *Program) Replay(a Analysis, tr *smtbe.Trace) (*interp.Machine, []string, error) {
-	m, err := interp.Replay(p.Info, interp.Options{
-		T: a.T, Params: a.Params,
-		BufferCap: a.BufferCap, OutBufferCap: a.OutBufferCap,
-		ListCap: a.ListCap, Width: a.Width, ArrivalsPerStep: a.ArrivalsPerStep,
-	}, tr)
+	m, err := interp.Replay(p.Info, a.interpOptions(), tr)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -60,14 +61,14 @@ func TestVerifyAndWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Verify(Analysis{T: 3})
+	res, err := prog.VerifyContext(context.Background(), Analysis{T: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != smtbe.Holds {
 		t.Errorf("verify: %v", res.Status)
 	}
-	w, err := prog.FindWitness(Analysis{T: 3})
+	w, err := prog.FindWitnessContext(context.Background(), Analysis{T: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestVerifyAndWitness(t *testing.T) {
 
 func TestUnknownModelRejected(t *testing.T) {
 	prog, _ := Parse(limiter)
-	if _, err := prog.Verify(Analysis{T: 1, Model: "quantum"}); err == nil {
+	if _, err := prog.VerifyContext(context.Background(), Analysis{T: 1, Model: "quantum"}); err == nil {
 		t.Error("expected unknown-model error")
 	}
 }
@@ -123,7 +124,7 @@ func TestSynthesizeThroughFacade(t *testing.T) {
 		move-p(a, b, 1);
 		if (t == T - 1) { assert(backlog-p(b) == T); }
 	}`)
-	res, err := prog.SynthesizeWorkload(Analysis{T: 2})
+	res, err := prog.SynthesizeWorkloadContext(context.Background(), Analysis{T: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestInferInvariantsThroughFacade(t *testing.T) {
 func TestSimulateAndReplayRoundTrip(t *testing.T) {
 	prog, _ := Parse(qm.FQBuggyQuerySrc)
 	a := Analysis{T: 6, Params: map[string]int64{"N": 3}}
-	res, err := prog.FindWitness(a)
+	res, err := prog.FindWitnessContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +175,64 @@ func TestSimulateAndReplayRoundTrip(t *testing.T) {
 	}
 	if len(diffs) > 0 {
 		t.Errorf("replay differences: %v", diffs)
+	}
+}
+
+// TestPortfolioWidthKeepsVerdicts runs the one verify/witness path at
+// portfolio widths 0, 1 and 4: the verdict never depends on the width, a
+// single solver reports no race, and a race reports every config and a
+// winner (the static tier, when it answers first).
+func TestPortfolioWidthKeepsVerdicts(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    string
+		params map[string]int64
+		static bool // the static tier answers verify before any solver
+	}{
+		{"fq-buggy", qm.FQBuggyQuerySrc, map[string]int64{"N": 3}, false},
+		{"limiter", limiter, nil, true},
+	}
+	for _, c := range cases {
+		prog, err := Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks := map[string]func(context.Context, Analysis) (*smtbe.Result, error){
+			"verify":  prog.VerifyContext,
+			"witness": prog.FindWitnessContext,
+		}
+		for mode, check := range checks {
+			var want smtbe.Status
+			for _, width := range []int{0, 1, 4} {
+				res, err := check(context.Background(), Analysis{T: 4, Params: c.params, Portfolio: width})
+				if err != nil {
+					t.Fatalf("%s %s width %d: %v", c.name, mode, width, err)
+				}
+				if width == 0 {
+					want = res.Status
+				} else if res.Status != want {
+					t.Errorf("%s %s width %d: status %v, want %v", c.name, mode, width, res.Status, want)
+				}
+				switch {
+				case width <= 1:
+					if len(res.Runs) != 0 || res.Winner != "" {
+						t.Errorf("%s %s width %d: single solver reported a race: winner %q, %d runs",
+							c.name, mode, width, res.Winner, len(res.Runs))
+					}
+				case res.Tier == "static":
+					if res.Winner != "static" || len(res.Runs) != 0 {
+						t.Errorf("%s %s: static answer to a race: winner %q, %d runs", c.name, mode, res.Winner, len(res.Runs))
+					}
+				default:
+					if len(res.Runs) != width || res.Winner == "" {
+						t.Errorf("%s %s: race reported winner %q, %d runs, want a winner and %d runs",
+							c.name, mode, res.Winner, len(res.Runs), width)
+					}
+				}
+				if c.static && mode == "verify" && res.Tier != "static" {
+					t.Errorf("%s verify width %d: tier %q, want static", c.name, width, res.Tier)
+				}
+			}
+		}
 	}
 }

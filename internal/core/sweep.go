@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/session"
 )
 
-// SweepOptions configures a horizon sweep (see Sweep).
+// SweepOptions configures a horizon sweep (see SweepWithSession).
 type SweepOptions struct {
 	// MaxT is the deepest horizon to try.
 	MaxT int
@@ -20,10 +21,12 @@ type SweepOptions struct {
 
 // NewSession builds a warm solver session for this program with capacity
 // maxT, ready to answer assumption-based queries (any mode, any horizon
-// up to maxT) on one shared encoding. Returns session.ErrConstHorizon
-// when the program's use of T forces per-horizon compilation; callers
-// then sweep cold. The analysis' Progress is intentionally not baked in:
-// sessions outlive requests, so progress attaches per query.
+// up to maxT) on one shared encoding. It returns a nil session and no
+// error when the program's use of T forces per-horizon compilation
+// (session.ErrConstHorizon): SweepWithSession then sweeps cold. This is
+// the one place that decision is made. The analysis' Progress is
+// intentionally not baked in: sessions outlive requests, so progress
+// attaches per query.
 func (p *Program) NewSession(a Analysis, maxT int) (*session.Session, error) {
 	iro, err := a.irOptions()
 	if err != nil {
@@ -32,29 +35,19 @@ func (p *Program) NewSession(a Analysis, maxT int) (*session.Session, error) {
 	iro.T = maxT
 	so := a.solverOptions()
 	so.Progress = nil
-	return session.New(p.Info, session.Options{IR: iro, Solver: so})
-}
-
-// Sweep runs the minimal-horizon search on a fresh warm session: solve
-// horizons 1..MaxT in order until one produces a trace, re-solving one
-// warm encoding under per-horizon assumptions instead of N cold solves.
-func (p *Program) Sweep(a Analysis, opts SweepOptions) (*session.SweepResult, error) {
-	return p.SweepContext(context.Background(), a, opts)
-}
-
-// SweepContext is Sweep with cooperative cancellation.
-func (p *Program) SweepContext(ctx context.Context, a Analysis, opts SweepOptions) (*session.SweepResult, error) {
-	sess, err := p.NewSession(a, opts.MaxT)
-	if err != nil && err != session.ErrConstHorizon {
-		return nil, err
+	sess, err := session.New(p.Info, session.Options{IR: iro, Solver: so})
+	if errors.Is(err, session.ErrConstHorizon) {
+		return nil, nil
 	}
-	return p.SweepWithSession(ctx, sess, a, opts)
+	return sess, err
 }
 
-// SweepWithSession is SweepContext over a caller-managed (possibly
-// shared, possibly nil) session — the service's pooled entry point. A nil
-// session sweeps cold; a session evicted mid-sweep degrades the remaining
-// horizons to cold solves.
+// SweepWithSession runs the minimal-horizon search: solve horizons
+// 1..MaxT in order until one produces a trace. With a warm session (from
+// NewSession, possibly shared) each horizon re-solves one encoding under
+// per-horizon assumptions instead of a cold solve; a nil session sweeps
+// cold, and a session evicted mid-sweep degrades the remaining horizons
+// to cold solves.
 func (p *Program) SweepWithSession(ctx context.Context, sess *session.Session, a Analysis, opts SweepOptions) (*session.SweepResult, error) {
 	if err := p.vetGate(ctx, a); err != nil {
 		return nil, err

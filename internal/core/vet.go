@@ -44,28 +44,39 @@ func (p *Program) Vet(a Analysis) *sema.Report {
 	return sema.Analyze(p.Info, a.semaOptions())
 }
 
-// staticTier is the pre-solve gate. It returns a conclusive static
-// result for the given query mode, or nil when the query needs a solver.
-// The gate declines to run when the context is already done (the solver
-// path reports cancellation uniformly) or when parameters are unbound
-// (the ir path reports the missing binding as an error).
-func (p *Program) staticTier(ctx context.Context, a Analysis, mode smtbe.Mode) *smtbe.Result {
+// vet is the pre-amble shared by the static tier and the vet gate: it
+// runs the analyzer under a "vet" span carrying the diagnostic count and
+// returns the report with the span, already ended, for callers to
+// annotate further. It declines (nil report) when the context is already
+// done (the solver path reports cancellation uniformly) or when
+// parameters are unbound (the ir path reports the missing binding as an
+// error).
+func (p *Program) vet(ctx context.Context, a Analysis) (*sema.Report, *telemetry.Span) {
 	if ctx.Err() != nil {
-		return nil
+		return nil, nil
 	}
 	for _, name := range p.Info.Params {
 		if _, ok := a.Params[name]; !ok {
-			return nil
+			return nil, nil
 		}
 	}
 	_, span := telemetry.StartSpan(ctx, "vet")
-	start := time.Now()
+	defer span.End()
 	rep := sema.Analyze(p.Info, a.semaOptions())
+	span.SetAttrs(telemetry.Int("diags", int64(len(rep.Diags))))
+	return rep, span
+}
+
+// staticTier is the pre-solve gate. It returns a conclusive static
+// result for the given query mode, or nil when the query needs a solver.
+func (p *Program) staticTier(ctx context.Context, a Analysis, mode smtbe.Mode) *smtbe.Result {
+	start := time.Now()
+	rep, span := p.vet(ctx, a)
+	if rep == nil {
+		return nil
+	}
 	v := rep.Verdict
-	span.SetAttrs(
-		telemetry.Int("diags", int64(len(rep.Diags))),
-		telemetry.String("verdict", v.Reason))
-	span.End()
+	span.SetAttrs(telemetry.String("verdict", v.Reason))
 
 	if v.Reason == sema.ReasonNoAsserts {
 		// Let smtbe report its "program has no assert()" error; a silent
@@ -92,28 +103,18 @@ func (p *Program) staticTier(ctx context.Context, a Analysis, mode smtbe.Mode) *
 // vetGate rejects programs whose static analysis produced error-severity
 // diagnostics (contradictory assumptions, unusable horizon) before an
 // expensive backend runs. Used by the backends that cannot otherwise
-// consume a static verdict (workload synthesis, bound computation).
+// consume a static verdict (workload synthesis, bound computation,
+// sweeps).
 func (p *Program) vetGate(ctx context.Context, a Analysis) error {
-	if ctx.Err() != nil {
+	rep, _ := p.vet(ctx, a)
+	if rep == nil || !rep.HasErrors() {
 		return nil
 	}
-	for _, name := range p.Info.Params {
-		if _, ok := a.Params[name]; !ok {
-			return nil
+	var errDiags []sema.Diagnostic
+	for _, d := range rep.Diags {
+		if d.Severity == sema.Error {
+			errDiags = append(errDiags, d)
 		}
 	}
-	_, span := telemetry.StartSpan(ctx, "vet")
-	rep := sema.Analyze(p.Info, a.semaOptions())
-	span.SetAttrs(telemetry.Int("diags", int64(len(rep.Diags))))
-	span.End()
-	if rep.HasErrors() {
-		var errDiags []sema.Diagnostic
-		for _, d := range rep.Diags {
-			if d.Severity == sema.Error {
-				errDiags = append(errDiags, d)
-			}
-		}
-		return &sema.VetError{Diags: errDiags}
-	}
-	return nil
+	return &sema.VetError{Diags: errDiags}
 }

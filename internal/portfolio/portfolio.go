@@ -55,37 +55,6 @@ func (o Options) configs() []Config {
 	return DefaultConfigs(o.N)
 }
 
-// ConfigRun is one configuration's outcome, reported for every config in
-// the portfolio — winners and losers alike. A loser cancelled mid-search
-// reports Status Unknown with the sat.Stats it had accumulated when it
-// observed the cancellation.
-type ConfigRun struct {
-	Name     string
-	Status   smtbe.Status
-	Stats    sat.Stats
-	Duration time.Duration
-	Err      string
-}
-
-// Result is a portfolio outcome: the winning configuration's full
-// analysis result plus per-config telemetry.
-type Result struct {
-	// Result is the winner's analysis result (or, with no conclusive
-	// config, an arbitrary Unknown result for its stats). Nil only when
-	// every config failed before producing a result.
-	*smtbe.Result
-	// Winner is the name of the first conclusive config ("" if none).
-	Winner string
-	// Runs reports every configuration, in portfolio order.
-	Runs []ConfigRun
-	// Disagreement is set when two conclusive configs differed; the
-	// accompanying error wraps ErrDisagreement.
-	Disagreement bool
-	// WallClock is the portfolio's end-to-end time, including waiting
-	// for cancelled losers to unwind.
-	WallClock time.Duration
-}
-
 // encodeFn and solveFn are the two phases of a race — compile+bitblast
 // once, then search per config on solver forks sharing that encoding.
 // Test stubs replace them to script win/lose timing deterministically.
@@ -101,16 +70,17 @@ func conclusive(res *smtbe.Result, err error) bool {
 	return err == nil && res != nil && res.Status != smtbe.Unknown
 }
 
-// Check is CheckContext without cancellation.
-func Check(info *typecheck.Info, opts Options) (*Result, error) {
-	return CheckContext(context.Background(), info, opts)
-}
-
 // CheckContext races the portfolio's configurations on the query and
-// returns the first conclusive answer. Losing searches are cancelled
-// cooperatively and observed to completion (their stats are collected)
-// before the call returns. Cancelling ctx aborts every configuration.
-func CheckContext(ctx context.Context, info *typecheck.Info, opts Options) (*Result, error) {
+// returns the first conclusive answer: the winning config's result,
+// stamped with the winner's name, every config's run (Runs) and the
+// race's wall clock (Duration, including waiting for cancelled losers to
+// unwind). Losing searches are cancelled cooperatively and observed to
+// completion (their stats are collected) before the call returns.
+// Cancelling ctx aborts every configuration. With no conclusive config
+// the result is an Unknown one, kept for its stats. When two conclusive
+// configs differ, the winner's result comes back with an error wrapping
+// ErrDisagreement.
+func CheckContext(ctx context.Context, info *typecheck.Info, opts Options) (*smtbe.Result, error) {
 	cfgs := opts.configs()
 	start := time.Now()
 
@@ -161,10 +131,10 @@ func CheckContext(ctx context.Context, info *typecheck.Info, opts Options) (*Res
 		}
 	}
 
-	runs := make([]ConfigRun, len(cfgs))
+	runs := make([]smtbe.ConfigRun, len(cfgs))
 	var firstErr error
 	for i, o := range outs {
-		run := ConfigRun{Name: cfgs[i].Name, Duration: o.dur}
+		run := smtbe.ConfigRun{Name: cfgs[i].Name, Duration: o.dur}
 		if o.res != nil {
 			run.Status = o.res.Status
 			run.Stats = o.res.SatStats
@@ -183,43 +153,39 @@ func CheckContext(ctx context.Context, info *typecheck.Info, opts Options) (*Res
 		// Annotate the winning config's span after the race settles
 		// (SetAttrs on an ended span is allowed for exactly this).
 		outs[winner].sp.SetAttrs(telemetry.Bool("winner", true))
-		pr := &Result{
-			Result:    outs[winner].res,
-			Winner:    cfgs[winner].Name,
-			Runs:      runs,
-			WallClock: time.Since(start),
-		}
+		res := outs[winner].res
+		res.Winner, res.Runs, res.Duration = cfgs[winner].Name, runs, time.Since(start)
 		// Differential safety net: any other conclusive config must agree.
 		for i, o := range outs {
 			if i == winner || !conclusive(o.res, o.err) {
 				continue
 			}
-			if o.res.Status != pr.Status {
-				pr.Disagreement = true
-				return pr, fmt.Errorf("%w: %s says %v, %s says %v",
-					ErrDisagreement, cfgs[winner].Name, pr.Status, cfgs[i].Name, o.res.Status)
+			if o.res.Status != res.Status {
+				return res, fmt.Errorf("%w: %s says %v, %s says %v",
+					ErrDisagreement, res.Winner, res.Status, cfgs[i].Name, o.res.Status)
 			}
 		}
-		return pr, nil
+		return res, nil
 	}
 
 	// No conclusive answer: surface the caller's cancellation, then any
 	// real error (parse/compile failures hit every config identically),
 	// then a budget-exhausted Unknown.
-	pr := &Result{Runs: runs, WallClock: time.Since(start)}
-	for _, o := range outs {
-		if o.res != nil {
-			pr.Result = o.res
-			break
-		}
-	}
 	if err := ctx.Err(); err != nil {
-		return pr, err
+		return nil, err
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return pr, nil
+	res := &smtbe.Result{Status: smtbe.Unknown, Mode: opts.Base.Mode}
+	for _, o := range outs {
+		if o.res != nil {
+			res = o.res
+			break
+		}
+	}
+	res.Runs, res.Duration = runs, time.Since(start)
+	return res, nil
 }
 
 // runOne executes a single configuration's search, shielding the

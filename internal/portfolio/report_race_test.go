@@ -1,6 +1,8 @@
 package portfolio
 
 import (
+	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +22,11 @@ import (
 // pin internal consistency of every mid-flight snapshot, and that the
 // final report attributes effort to each racing config by name.
 func TestSearchReportConcurrentWithRace(t *testing.T) {
+	// The racing configs must really run in parallel, or the ordering
+	// this test guards cannot be violated and it passes vacuously.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	info := qm.MustLoad(qm.FQBuggyQuerySrc)
 	p := &sat.Progress{}
 	rec := sat.NewSearchRecorder()
@@ -44,7 +51,7 @@ func TestSearchReportConcurrentWithRace(t *testing.T) {
 		}
 	}()
 
-	res, err := Check(info, Options{
+	res, err := CheckContext(context.Background(), info, Options{
 		N: 4,
 		Base: smtbe.Options{
 			IR:     ir.Options{T: 8, Params: map[string]int64{"N": 3}},

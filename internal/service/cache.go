@@ -1,8 +1,9 @@
 package service
 
 import (
-	"container/list"
 	"sync"
+
+	"buffy/internal/lru"
 )
 
 // cache is a bounded LRU mapping content-address keys to completed
@@ -12,28 +13,17 @@ import (
 type cache struct {
 	mu      sync.Mutex
 	max     int
-	order   *list.List // front = most recently used; values are *cacheEntry
-	entries map[string]*list.Element
-}
-
-type cacheEntry struct {
-	key string
-	res *Result
+	entries *lru.LRU[string, *Result]
 }
 
 func newCache(max int) *cache {
-	return &cache{max: max, order: list.New(), entries: make(map[string]*list.Element)}
+	return &cache{max: max, entries: lru.New[string, *Result]()}
 }
 
 func (c *cache) get(key string) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return c.entries.Get(key)
 }
 
 func (c *cache) put(key string, res *Result) {
@@ -42,21 +32,14 @@ func (c *cache) put(key string, res *Result) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	c.entries.Add(key, res, 1)
+	for c.entries.Len() > c.max {
+		c.entries.RemoveOldest()
 	}
 }
 
 func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.entries.Len()
 }

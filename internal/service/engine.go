@@ -920,8 +920,9 @@ func (e *Engine) runSweepSafe(ctx context.Context, job *Job, req *Request) (res 
 // single-flight build) the session for the request's fingerprint, then
 // deepen 1..max_t by assumption-based re-solve, streaming each horizon's
 // verdict to the job as it lands. A program whose encoding cannot be
-// shared across horizons (session.ErrConstHorizon) sweeps cold; a session
-// evicted mid-sweep degrades the remaining horizons to cold solves.
+// shared across horizons gets no session from core.NewSession and sweeps
+// cold; a session evicted mid-sweep degrades the remaining horizons to
+// cold solves.
 func (e *Engine) runSweep(ctx context.Context, job *Job, req *Request) (*Result, error) {
 	_, psp := telemetry.StartSpan(ctx, "parse")
 	prog, err := core.Parse(req.Source)
@@ -971,32 +972,16 @@ func runAnalysis(ctx context.Context, req *Request, progress *sat.Progress) (*Re
 	a := req.analysis()
 	a.Progress = progress
 	switch req.Kind {
-	case KindVerify:
-		if req.Portfolio > 1 {
-			pr, err := prog.VerifyPortfolioContext(ctx, a)
-			if err != nil {
-				return nil, err
-			}
-			return resultFromPortfolio(KindVerify, req.Portfolio, pr), nil
+	case KindVerify, KindWitness:
+		check := prog.VerifyContext
+		if req.Kind == KindWitness {
+			check = prog.FindWitnessContext
 		}
-		r, err := prog.VerifyContext(ctx, a)
+		r, err := check(ctx, a)
 		if err != nil {
 			return nil, err
 		}
-		return resultFromCheck(KindVerify, r), nil
-	case KindWitness:
-		if req.Portfolio > 1 {
-			pr, err := prog.FindWitnessPortfolioContext(ctx, a)
-			if err != nil {
-				return nil, err
-			}
-			return resultFromPortfolio(KindWitness, req.Portfolio, pr), nil
-		}
-		r, err := prog.FindWitnessContext(ctx, a)
-		if err != nil {
-			return nil, err
-		}
-		return resultFromCheck(KindWitness, r), nil
+		return resultFromCheck(req.Kind, req.Portfolio, r), nil
 	case KindSynthesize:
 		r, err := prog.SynthesizeWorkloadContext(ctx, a)
 		if err != nil {

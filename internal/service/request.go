@@ -25,7 +25,6 @@ import (
 	"buffy/internal/backend/netcalc"
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
-	"buffy/internal/portfolio"
 	"buffy/internal/session"
 	"buffy/internal/smt/bitblast"
 	"buffy/internal/smt/sat"
@@ -424,33 +423,27 @@ func (res *Result) conclusive() bool {
 	return false
 }
 
-func resultFromCheck(kind Kind, r *smtbe.Result) *Result {
-	return &Result{
-		Kind:       kind,
-		Status:     r.Status.String(),
-		Trace:      r.Trace,
-		SatStats:   r.SatStats,
-		NumClauses: r.NumClauses,
-		NumVars:    r.NumVars,
-		DurationMS: r.Duration.Milliseconds(),
-		StopReason: r.Stop.String(),
-		Tier:       r.Tier,
+// resultFromCheck flattens a verify/witness outcome into the wire
+// result. portfolio is the race width the request asked for: a request
+// with portfolio > 1 reports it together with the winning config (the
+// static tier counts as a winner), and its DurationMS is the race's wall
+// clock (what the client actually waited).
+func resultFromCheck(kind Kind, portfolio int, r *smtbe.Result) *Result {
+	res := &Result{
+		Kind:            kind,
+		Status:          r.Status.String(),
+		Trace:           r.Trace,
+		SatStats:        r.SatStats,
+		NumClauses:      r.NumClauses,
+		NumVars:         r.NumVars,
+		DurationMS:      r.Duration.Milliseconds(),
+		PortfolioWinner: r.Winner,
+		StopReason:      r.Stop.String(),
+		Tier:            r.Tier,
 	}
-}
-
-// resultFromPortfolio flattens a portfolio outcome into the wire result:
-// the winner's analysis result stamped with the race's shape. DurationMS
-// is the portfolio's wall clock (what the client actually waited), not
-// the winning config's solo solve time.
-func resultFromPortfolio(kind Kind, size int, pr *portfolio.Result) *Result {
-	if pr.Result == nil {
-		return &Result{Kind: kind, Status: smtbe.Unknown.String(),
-			PortfolioSize: size, DurationMS: pr.WallClock.Milliseconds()}
+	if portfolio > 1 {
+		res.PortfolioSize = portfolio
 	}
-	res := resultFromCheck(kind, pr.Result)
-	res.PortfolioSize = size
-	res.PortfolioWinner = pr.Winner
-	res.DurationMS = pr.WallClock.Milliseconds()
 	return res
 }
 
@@ -482,7 +475,7 @@ func resultFromBound(r *netcalc.Result) *Result {
 // horizon's (the one that ended the sweep); the per-horizon story rides
 // in Verdicts.
 func resultFromSweep(sr *session.SweepResult, hit bool) *Result {
-	res := resultFromCheck(KindSweep, sr.Final)
+	res := resultFromCheck(KindSweep, 0, sr.Final)
 	res.DurationMS = sr.Duration.Milliseconds()
 	res.FoundAt = sr.FoundAt
 	res.Warm = sr.Warm

@@ -1,10 +1,10 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
+	"buffy/internal/lru"
 	"buffy/internal/session"
 )
 
@@ -13,6 +13,8 @@ import (
 // on an encoding some earlier request already paid for; a miss builds the
 // session once under single-flight admission (concurrent requesters for
 // the same key wait on the first builder instead of racing N compiles).
+// Builds in flight live outside the LRU until they finish, so only built
+// sessions are ever ordered, weighed or evicted.
 //
 // Eviction is by entry count and by estimated bytes: every session's
 // footprint (problem encoding + learnt-clause database) is charged against
@@ -25,9 +27,9 @@ type sessionPool struct {
 	mu         sync.Mutex
 	maxEntries int
 	maxBytes   int64
-	totalBytes int64
-	order      *list.List // front = most recently used; values are *poolEntry
-	entries    map[string]*list.Element
+	live       *lru.LRU[string, *poolEntry] // built sessions, weighed by footprint
+	building   map[string]*poolEntry        // single-flight builds in progress
+	holds      int                          // acquired sessions not yet released
 
 	met *metrics
 }
@@ -39,9 +41,6 @@ type poolEntry struct {
 	ready chan struct{}
 	sess  *session.Session
 	err   error
-	built bool
-	refs  int
-	bytes int64
 }
 
 // newSessionPool sizes the pool; maxEntries <= 0 disables pooling (every
@@ -50,8 +49,8 @@ func newSessionPool(maxEntries int, maxBytes int64, met *metrics) *sessionPool {
 	return &sessionPool{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		order:      list.New(),
-		entries:    make(map[string]*list.Element),
+		live:       lru.New[string, *poolEntry](),
+		building:   make(map[string]*poolEntry),
 		met:        met,
 	}
 }
@@ -60,158 +59,122 @@ func newSessionPool(maxEntries int, maxBytes int64, met *metrics) *sessionPool {
 // miss. hit reports whether an already-built pooled session answered.
 // The returned release must be called exactly once when the caller is done
 // with the session (it re-reads the footprint and triggers eviction).
-// A nil session with nil error means "sweep cold" (the program cannot
-// share an encoding); any other build error is the caller's to surface.
+// A nil session with nil error means "sweep cold" (build found the
+// program cannot share an encoding); any build error is the caller's to
+// surface.
 func (p *sessionPool) acquire(ctx context.Context, key string, build func() (*session.Session, error)) (sess *session.Session, release func(), hit bool, err error) {
 	noop := func() {}
 	if p.maxEntries <= 0 {
 		// Pooling disabled: a private session still wins within one sweep
 		// (horizons share the encoding) but is never reused across requests.
 		s, err := build()
-		if err == session.ErrConstHorizon {
-			return nil, noop, false, nil
-		}
 		return s, noop, false, err
 	}
 
 	p.mu.Lock()
-	if el, ok := p.entries[key]; ok {
-		ent := el.Value.(*poolEntry)
-		ent.refs++
-		p.order.MoveToFront(el)
+	if ent, ok := p.live.Get(key); ok {
+		release := p.holdLocked(ent)
+		p.mu.Unlock()
+		p.met.sessionHits.Add(1)
+		return ent.sess, release, true, nil
+	}
+	if ent, ok := p.building[key]; ok {
 		p.mu.Unlock()
 		select {
 		case <-ent.ready:
 		case <-ctx.Done():
-			p.release(ent)
 			return nil, noop, false, ctx.Err()
 		}
-		if ent.err != nil {
-			// The build we waited on failed; the builder already removed the
-			// entry from the index, so release only drops our ref count.
-			p.release(ent)
-			if ent.err == session.ErrConstHorizon {
-				return nil, noop, false, nil
-			}
+		if ent.sess == nil {
+			// The build we waited on failed or chose a cold sweep; it
+			// never entered the pool.
 			return nil, noop, false, ent.err
 		}
+		p.mu.Lock()
+		release := p.holdLocked(ent)
+		p.mu.Unlock()
 		p.met.sessionHits.Add(1)
-		return ent.sess, func() { p.release(ent) }, true, nil
+		return ent.sess, release, true, nil
 	}
 
-	// Miss: insert a building placeholder so concurrent requesters for the
-	// same key wait on us, then build outside the lock.
-	ent := &poolEntry{key: key, ready: make(chan struct{}), refs: 1}
-	p.entries[key] = p.order.PushFront(ent)
+	// Miss: register the build so concurrent requesters for the same key
+	// wait on us, then build outside the lock.
+	ent := &poolEntry{key: key, ready: make(chan struct{})}
+	p.building[key] = ent
 	p.mu.Unlock()
 	p.met.sessionMisses.Add(1)
 
 	s, berr := build()
 
 	p.mu.Lock()
-	ent.sess, ent.err, ent.built = s, berr, true
-	if berr != nil {
-		// Failed builds never occupy a slot; waiters observe ent.err.
-		p.removeLocked(ent)
-	} else {
-		ent.bytes = s.Footprint()
-		p.totalBytes += ent.bytes
+	delete(p.building, key)
+	ent.sess, ent.err = s, berr
+	release = noop
+	if s != nil {
+		p.live.Add(key, ent, s.Footprint())
 		p.evictLocked()
+		release = p.holdLocked(ent)
 	}
 	p.mu.Unlock()
 	close(ent.ready)
-
-	if berr == session.ErrConstHorizon {
-		return nil, noop, false, nil
-	}
-	if berr != nil {
-		return nil, noop, false, berr
-	}
-	return s, func() { p.release(ent) }, false, nil
+	return s, release, false, berr
 }
 
-// release drops one holder's reference and re-accounts the session's
-// footprint (the learnt DB grew while the holder queried).
+// holdLocked counts one holder of ent and returns its release.
+func (p *sessionPool) holdLocked(ent *poolEntry) func() {
+	p.holds++
+	return func() { p.release(ent) }
+}
+
+// release drops one holder and re-accounts the session's footprint (the
+// learnt DB grew while the holder queried), unless the session has since
+// been evicted.
 func (p *sessionPool) release(ent *poolEntry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ent.refs > 0 {
-		ent.refs--
-	}
-	if ent.sess != nil {
-		if _, live := p.entries[ent.key]; live {
-			nb := ent.sess.Footprint()
-			p.totalBytes += nb - ent.bytes
-			ent.bytes = nb
-			p.evictLocked()
-		}
+	p.holds--
+	if cur, ok := p.live.Peek(ent.key); ok && cur == ent {
+		p.live.Reweigh(ent.key, ent.sess.Footprint())
+		p.evictLocked()
 	}
 }
 
-// evictLocked enforces both budgets, oldest-first, skipping entries still
-// building (their cost is unknown and their builder holds no verdicts
-// yet). Evicted sessions are closed immediately — holders mid-sweep see
-// ErrClosed on their next query and degrade to cold solves.
+// evictLocked enforces both budgets, oldest-first. Evicted sessions are
+// closed immediately — holders mid-sweep see ErrClosed on their next
+// query and degrade to cold solves. A single session over the whole byte
+// budget is evicted too: better an occasional cold rebuild than unbounded
+// learnt-clause growth.
 func (p *sessionPool) evictLocked() {
-	for p.order.Len() > p.maxEntries {
-		if !p.evictOldestLocked("entries") {
-			break
-		}
+	for p.live.Len() > p.maxEntries {
+		p.evictOldestLocked("entries")
 	}
-	for p.maxBytes > 0 && p.totalBytes > p.maxBytes && p.order.Len() > 1 {
-		if !p.evictOldestLocked("memory") {
-			break
-		}
-	}
-	// A single session over the whole budget is evicted too: better an
-	// occasional cold rebuild than unbounded learnt-clause growth.
-	if p.maxBytes > 0 && p.totalBytes > p.maxBytes {
+	for p.maxBytes > 0 && p.live.Weight() > p.maxBytes {
 		p.evictOldestLocked("memory")
 	}
 }
 
-func (p *sessionPool) evictOldestLocked(reason string) bool {
-	for el := p.order.Back(); el != nil; el = el.Prev() {
-		ent := el.Value.(*poolEntry)
-		if !ent.built {
-			continue
-		}
-		p.removeLocked(ent)
-		ent.sess.Close()
-		p.met.recordSessionEviction(reason)
-		return true
-	}
-	return false
-}
-
-// removeLocked detaches an entry from the index and the byte accounting.
-func (p *sessionPool) removeLocked(ent *poolEntry) {
-	el, ok := p.entries[ent.key]
-	if !ok || el.Value.(*poolEntry) != ent {
-		return
-	}
-	p.order.Remove(el)
-	delete(p.entries, ent.key)
-	p.totalBytes -= ent.bytes
+func (p *sessionPool) evictOldestLocked(reason string) {
+	_, ent, _ := p.live.RemoveOldest()
+	ent.sess.Close()
+	p.met.recordSessionEviction(reason)
 }
 
 // stats reports the pool's live-entry count and accounted bytes.
 func (p *sessionPool) stats() (live int, bytes int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.order.Len(), p.totalBytes
+	return p.live.Len(), p.live.Weight()
 }
 
 // closeAll evicts everything (shutdown).
 func (p *sessionPool) closeAll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for el := p.order.Front(); el != nil; el = el.Next() {
-		if ent := el.Value.(*poolEntry); ent.built && ent.sess != nil {
-			ent.sess.Close()
+	for {
+		_, ent, ok := p.live.RemoveOldest()
+		if !ok {
+			return
 		}
+		ent.sess.Close()
 	}
-	p.order.Init()
-	p.entries = make(map[string]*list.Element)
-	p.totalBytes = 0
 }

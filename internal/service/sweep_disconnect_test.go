@@ -13,16 +13,12 @@ import (
 	"buffy/internal/qm"
 )
 
-// sessionRefs sums the acquire-side reference counts across the pool: 0
-// means no sweep currently holds a pooled session.
+// sessionRefs counts the pool's outstanding acquires: 0 means no sweep
+// currently holds a pooled session.
 func sessionRefs(e *Engine) int {
 	e.sessions.mu.Lock()
 	defer e.sessions.mu.Unlock()
-	n := 0
-	for el := e.sessions.order.Front(); el != nil; el = el.Next() {
-		n += el.Value.(*poolEntry).refs
-	}
-	return n
+	return e.sessions.holds
 }
 
 // TestSweepClientDisconnect cancels a /v1/sweep HTTP request mid-stream

@@ -102,12 +102,9 @@ func (p *Progress) add(d Stats) {
 	p.learntBytes.Add(d.LearntBytes)
 }
 
-// observeBudget raises the published budget fraction to frac if larger
-// (CAS loop; fractions only move up within a job).
+// observeBudget raises the published budget fraction to frac (at most
+// 1) if larger (CAS loop; fractions only move up within a job).
 func (p *Progress) observeBudget(frac float64) {
-	if frac > 1 {
-		frac = 1
-	}
 	for {
 		old := p.budget.Load()
 		if math.Float64frombits(old) >= frac {
@@ -146,6 +143,7 @@ func (pp *progressPub) publish(s *Solver, frac float64) {
 		Learnt:       cur.Learnt - pp.last.Learnt,
 		LearntBytes:  cur.LearntBytes - pp.last.LearntBytes,
 	}
+	frac = min(frac, 1)
 	pp.p.add(d)
 	pp.last = cur
 	pp.p.observeBudget(frac)
@@ -155,7 +153,7 @@ func (pp *progressPub) publish(s *Solver, frac float64) {
 			lbdDelta[i] = n - pp.lastLBD[i]
 			pp.lastLBD[i] = n
 		}
-		rec.observe(pp.name, d, pp.p.Snapshot(), s.decisionLevel(), &lbdDelta)
+		rec.observe(pp.name, d, frac, s.decisionLevel(), &lbdDelta)
 	}
 }
 

@@ -147,10 +147,12 @@ type SearchReport struct {
 }
 
 // observe ingests one publish-cadence point from a solver: the effort
-// delta since that solver's previous publish, the job-wide cumulative
-// snapshot after applying it, the solver's current decision depth, and
-// the delta of its LBD histogram.
-func (r *SearchRecorder) observe(config string, d Stats, snap ProgressSnapshot, depth int, lbdDelta *[lbdOverflowBucket + 1]int64) {
+// delta since that solver's previous publish, its budget fraction, its
+// current decision depth, and the delta of its LBD histogram. The
+// sample's cumulative counters are the recorder's own totals, read under
+// the same lock that appends the sample, so concurrent solvers can never
+// append samples out of order.
+func (r *SearchRecorder) observe(config string, d Stats, budgetFrac float64, depth int, lbdDelta *[lbdOverflowBucket + 1]int64) {
 	if r == nil {
 		return
 	}
@@ -164,9 +166,7 @@ func (r *SearchRecorder) observe(config string, d Stats, snap ProgressSnapshot, 
 	r.totals.Restarts += d.Restarts
 	r.totals.Learnt += d.Learnt
 	r.totals.LearntBytes += d.LearntBytes
-	if snap.BudgetFraction > r.maxBudget {
-		r.maxBudget = snap.BudgetFraction
-	}
+	r.maxBudget = max(r.maxBudget, budgetFrac)
 
 	ce := r.effortLocked(config)
 	ce.Conflicts += d.Conflicts
@@ -188,13 +188,13 @@ func (r *SearchRecorder) observe(config string, d Stats, snap ProgressSnapshot, 
 	}
 	r.samples = append(r.samples, SearchSample{
 		AtMS:           float64(at.Microseconds()) / 1000,
-		Conflicts:      snap.Conflicts,
-		Decisions:      snap.Decisions,
-		Propagations:   snap.Propagations,
-		Restarts:       snap.Restarts,
-		Learnt:         snap.Learnt,
-		LearntBytes:    snap.LearntBytes,
-		BudgetFraction: snap.BudgetFraction,
+		Conflicts:      r.totals.Conflicts,
+		Decisions:      r.totals.Decisions,
+		Propagations:   r.totals.Propagations,
+		Restarts:       r.totals.Restarts,
+		Learnt:         r.totals.Learnt,
+		LearntBytes:    r.totals.LearntBytes,
+		BudgetFraction: r.maxBudget,
 		Depth:          depth,
 		Config:         config,
 	})

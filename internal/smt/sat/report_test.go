@@ -75,7 +75,7 @@ func TestRecorderDecimation(t *testing.T) {
 	rec := NewSearchRecorder()
 	const pubs = maxSamples*4 + 37
 	for i := 0; i < pubs; i++ {
-		rec.observe("", Stats{Conflicts: 1}, ProgressSnapshot{Conflicts: int64(i + 1)}, i%40, nil)
+		rec.observe("", Stats{Conflicts: 1}, 0, i%40, nil)
 	}
 	rec.mu.Lock()
 	n, stride := len(rec.samples), rec.stride
@@ -120,8 +120,8 @@ func TestRecorderConfigAttribution(t *testing.T) {
 	rec := NewSearchRecorder()
 	rec.event("solve_start", "geom", 0, 0)
 	rec.event("solve_start", "luby", 0, 0)
-	rec.observe("geom", Stats{Conflicts: 100}, ProgressSnapshot{Conflicts: 100}, 3, nil)
-	rec.observe("luby", Stats{Conflicts: 40}, ProgressSnapshot{Conflicts: 140}, 5, nil)
+	rec.observe("geom", Stats{Conflicts: 100}, 0, 3, nil)
+	rec.observe("luby", Stats{Conflicts: 40}, 0, 5, nil)
 	rep := rec.Report()
 	if len(rep.Configs) != 2 {
 		t.Fatalf("configs = %+v, want 2", rep.Configs)
@@ -140,8 +140,7 @@ func TestRecorderConfigAttribution(t *testing.T) {
 func TestReportJSONRoundTrip(t *testing.T) {
 	rec := NewSearchRecorder()
 	rec.event("solve_start", "cfg", 0, 0)
-	rec.observe("cfg", Stats{Conflicts: 64, Learnt: 10, LearntBytes: 640},
-		ProgressSnapshot{Conflicts: 64, Learnt: 10, LearntBytes: 640, BudgetFraction: 0.25}, 7, nil)
+	rec.observe("cfg", Stats{Conflicts: 64, Learnt: 10, LearntBytes: 640}, 0.25, 7, nil)
 	rec.event("restart", "cfg", 64, 128)
 	rep := rec.Report()
 	rep.Winner = "cfg"
@@ -189,7 +188,7 @@ func TestReportRender(t *testing.T) {
 // without a recorder and a nil recorder must both be free.
 func TestRecorderNilSafe(t *testing.T) {
 	var rec *SearchRecorder
-	rec.observe("", Stats{}, ProgressSnapshot{}, 0, nil)
+	rec.observe("", Stats{}, 0, 0, nil)
 	rec.event("restart", "", 0, 0)
 	if rec.Report() != nil {
 		t.Error("nil recorder produced a report")

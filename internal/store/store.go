@@ -27,7 +27,6 @@ package store
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -45,6 +44,7 @@ import (
 	"time"
 
 	"buffy/internal/faultinject"
+	"buffy/internal/lru"
 )
 
 // FormatVersion is the on-disk entry format version; bumping it
@@ -107,10 +107,8 @@ type Store struct {
 	readOnly   bool
 
 	mu     sync.Mutex
-	index  map[string]*list.Element // key → element; values are *entryMeta
-	order  *list.List               // front = most recently used
-	bytes  int64
-	deny   map[string]bool // keys whose bad file could not be quarantined; never served
+	lru    *lru.LRU[string, struct{}] // resident keys, weighed by file size
+	deny   map[string]bool            // keys whose bad file could not be quarantined; never served
 	closed bool
 
 	gcKick chan struct{}
@@ -122,11 +120,6 @@ type Store struct {
 	quarantined, evictions atomic.Int64
 	invalidations          atomic.Int64
 	qseq                   atomic.Int64
-}
-
-type entryMeta struct {
-	key  string
-	size int64
 }
 
 type manifest struct {
@@ -157,8 +150,7 @@ func Open(opts Options) (*Store, error) {
 		maxBytes:   opts.MaxBytes,
 		log:        log,
 		readOnly:   opts.ReadOnly,
-		index:      make(map[string]*list.Element),
-		order:      list.New(),
+		lru:        lru.New[string, struct{}](),
 		deny:       make(map[string]bool),
 		gcKick:     make(chan struct{}, 1),
 		done:       make(chan struct{}),
@@ -303,14 +295,14 @@ func (s *Store) recoverScan() {
 	sort.Slice(good, func(i, j int) bool { return good[i].mtime.Before(good[j].mtime) })
 	s.mu.Lock()
 	for _, c := range good {
-		// Oldest first, each pushed to the front: newest ends up MRU.
-		s.index[c.key] = s.order.PushFront(&entryMeta{key: c.key, size: c.size})
-		s.bytes += c.size
+		// Oldest first, each made most recent: newest ends up MRU.
+		s.lru.Add(c.key, struct{}{}, c.size)
 	}
+	bytes := s.lru.Weight()
 	s.mu.Unlock()
 	if len(good) > 0 || len(des) > 0 {
 		s.log.Info("store: recovery scan complete",
-			"entries", len(good), "bytes", s.bytes, "quarantined", s.quarantined.Load())
+			"entries", len(good), "bytes", bytes, "quarantined", s.quarantined.Load())
 	}
 }
 
@@ -324,7 +316,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	_, ok := s.index[key]
+	_, ok := s.lru.Peek(key)
 	denied := s.deny[key]
 	s.mu.Unlock()
 	if !ok || denied {
@@ -343,9 +335,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		s.mu.Lock()
-		if el, ok := s.index[key]; ok {
-			s.removeLocked(el)
-		}
+		s.lru.Remove(key)
 		s.mu.Unlock()
 		if !errors.Is(err, fs.ErrNotExist) {
 			s.readErrs.Add(1)
@@ -362,9 +352,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	now := time.Now()
 	_ = os.Chtimes(path, now, now) // best-effort: LRU recency survives restarts
 	s.mu.Lock()
-	if el, ok := s.index[key]; ok {
-		s.order.MoveToFront(el)
-	}
+	s.lru.Get(key)
 	s.mu.Unlock()
 	s.hits.Add(1)
 	return payload, true
@@ -416,16 +404,8 @@ func (s *Store) Put(key string, payload []byte) error {
 	size := int64(len(buf))
 	s.mu.Lock()
 	delete(s.deny, key) // a fresh atomic write supersedes any denied file
-	if el, ok := s.index[key]; ok {
-		meta := el.Value.(*entryMeta)
-		s.bytes += size - meta.size
-		meta.size = size
-		s.order.MoveToFront(el)
-	} else {
-		s.index[key] = s.order.PushFront(&entryMeta{key: key, size: size})
-		s.bytes += size
-	}
-	over := s.maxBytes > 0 && s.bytes > s.maxBytes
+	s.lru.Add(key, struct{}{}, size)
+	over := s.maxBytes > 0 && s.lru.Weight() > s.maxBytes
 	s.mu.Unlock()
 	s.writes.Add(1)
 	if over {
@@ -442,10 +422,7 @@ func (s *Store) Put(key string, payload []byte) error {
 // serving the entry never happens.
 func (s *Store) Quarantine(key, reason string) {
 	s.mu.Lock()
-	el, ok := s.index[key]
-	if ok {
-		s.removeLocked(el)
-	}
+	_, ok := s.lru.Remove(key)
 	s.mu.Unlock()
 	if !ok {
 		return
@@ -511,33 +488,26 @@ func (s *Store) gc() {
 	}
 	for {
 		s.mu.Lock()
-		if s.bytes <= s.maxBytes || s.order.Len() == 0 {
+		if s.lru.Weight() <= s.maxBytes {
 			s.mu.Unlock()
 			return
 		}
-		el := s.order.Back()
-		meta := el.Value.(*entryMeta)
-		s.removeLocked(el)
+		key, _, ok := s.lru.RemoveOldest()
 		s.mu.Unlock()
-		if err := os.Remove(s.entryPath(meta.key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			s.log.Warn("store: eviction remove failed", "key", meta.key, "err", err.Error())
+		if !ok {
+			return
+		}
+		if err := os.Remove(s.entryPath(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			s.log.Warn("store: eviction remove failed", "key", key, "err", err.Error())
 		}
 		s.evictions.Add(1)
 	}
 }
 
-// removeLocked detaches an entry from the index and the byte accounting.
-func (s *Store) removeLocked(el *list.Element) {
-	meta := el.Value.(*entryMeta)
-	s.order.Remove(el)
-	delete(s.index, meta.key)
-	s.bytes -= meta.size
-}
-
 // Stats returns a point-in-time snapshot of all counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	entries, bytes := s.order.Len(), s.bytes
+	entries, bytes := s.lru.Len(), s.lru.Weight()
 	s.mu.Unlock()
 	return Stats{
 		Entries:       entries,
