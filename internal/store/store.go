@@ -298,11 +298,11 @@ func (s *Store) recoverScan() {
 		// Oldest first, each made most recent: newest ends up MRU.
 		s.lru.Add(c.key, struct{}{}, c.size)
 	}
-	bytes := s.lru.Weight()
+	total := s.lru.Weight()
 	s.mu.Unlock()
 	if len(good) > 0 || len(des) > 0 {
 		s.log.Info("store: recovery scan complete",
-			"entries", len(good), "bytes", bytes, "quarantined", s.quarantined.Load())
+			"entries", len(good), "bytes", total, "quarantined", s.quarantined.Load())
 	}
 }
 
