@@ -2,99 +2,72 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 
 	"buffy/internal/backend/netcalc"
+	"buffy/internal/bench"
 	"buffy/internal/qm"
 )
-
-// netcalcOut is where -exp netcalc writes its machine-readable summary.
-var netcalcOut = flag.String("netcalc-out", "BENCH_netcalc.json",
-	"JSON summary path for the netcalc-vs-SMT experiment")
-
-// netcalcRow is one corpus model's analytical-vs-exhaustive comparison:
-// the netcalc bound query's wall clock (microseconds), the SMT
-// differential solve that certifies it at horizon T (milliseconds), and
-// the bounds themselves as exact rationals.
-type netcalcRow struct {
-	Model     string  `json:"model"`
-	T         int     `json:"t"`
-	Bounded   bool    `json:"bounded"`
-	Delay     string  `json:"delay,omitempty"`
-	Backlog   string  `json:"backlog,omitempty"`
-	NetcalcUS float64 `json:"netcalc_us"`
-	SMTMS     float64 `json:"smt_ms"`
-	Status    string  `json:"status"`
-	Speedup   float64 `json:"speedup,omitempty"`
-}
 
 // runNetcalc sweeps the netcalc corpus: every model answers its bound
 // query analytically in microseconds, then the SMT backend spends
 // milliseconds-to-seconds certifying at horizon T that no execution beats
 // the bound (domination). The experiment hard-fails on any disagreement —
-// the same invariant the CI differential step enforces.
-func runNetcalc() error {
-	var rows []netcalcRow
+// the same invariant the CI differential step enforces. Each model
+// records a netcalc/<model>/netcalc and a netcalc/<model>/smt entry,
+// both with the verdict "<status> <delay> <backlog>" ("<status>" alone
+// when unbounded).
+func runNetcalc() ([]bench.Experiment, error) {
+	var exps []bench.Experiment
 	dominated := 0
 	fmt.Printf("%-10s  %-9s  %8s  %8s  %12s  %10s  %-17s\n",
 		"model", "bounded", "delay", "backlog", "netcalc", "smt", "status")
 	for _, e := range netcalc.Corpus() {
 		info, err := qm.Load(e.Src)
 		if err != nil {
-			return err
+			return exps, err
 		}
 		// Warm once so the timed run measures the algebra, not first-call
 		// allocator effects, then re-run for the reported latency.
 		if _, err := netcalc.Analyze(context.Background(), info, e.NetOptions()); err != nil {
-			return err
+			return exps, err
 		}
 		r, err := netcalc.Analyze(context.Background(), info, e.NetOptions())
 		if err != nil {
-			return err
+			return exps, err
 		}
 		report, err := netcalc.CrossCheck(context.Background(), info, r,
 			netcalc.CrossCheckOptions{IR: e.IROptions()})
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-		row := netcalcRow{
-			Model: e.Name, T: e.T, Bounded: r.Bounded,
-			NetcalcUS: float64(r.Duration.Nanoseconds()) / 1e3,
-			SMTMS:     float64(report.Duration.Microseconds()) / 1e3,
-			Status:    report.Status,
-		}
-		if r.Bounded {
-			row.Delay, row.Backlog = r.Delay.RatString(), r.Backlog.RatString()
-			row.Speedup = float64(report.Duration) / float64(r.Duration)
+			return exps, fmt.Errorf("%s: %w", e.Name, err)
 		}
 		if report.Status == "dominated" {
 			dominated++
 		}
-		rows = append(rows, row)
+		verdict := report.Status
+		if r.Bounded {
+			verdict += " " + boundVerdict(r)
+		}
+		exps = append(exps,
+			advisory("netcalc/"+e.Name+"/netcalc", verdict, r.Duration),
+			advisory("netcalc/"+e.Name+"/smt", verdict, report.Duration))
 		delay, backlog := "-", "-"
 		if r.Bounded {
-			delay, backlog = row.Delay, row.Backlog
+			delay, backlog = r.Delay.RatString(), r.Backlog.RatString()
 		}
 		fmt.Printf("%-10s  %-9v  %8s  %8s  %10.1fµs  %8.1fms  %-17s\n",
-			e.Name, r.Bounded, delay, backlog, row.NetcalcUS, row.SMTMS, report.Status)
+			e.Name, r.Bounded, delay, backlog, float64(r.Duration.Nanoseconds())/1e3, ms(report.Duration), report.Status)
 	}
-
-	summary := struct {
-		Rows      []netcalcRow `json:"rows"`
-		Dominated int          `json:"dominated"`
-	}{rows, dominated}
-	data, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*netcalcOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("every bounded model dominated its SMT sweep (%d models); summary: %s\n",
-		dominated, *netcalcOut)
+	fmt.Printf("every bounded model dominated its SMT sweep (%d models)\n", dominated)
 	fmt.Println("(analytical bounds in microseconds; the solver pays milliseconds to certify them)")
-	return nil
+	return exps, nil
+}
+
+// boundVerdict renders a bound answer as "<delay> <backlog>" in exact
+// rationals, or "unbounded".
+func boundVerdict(r *netcalc.Result) string {
+	if !r.Bounded {
+		return "unbounded"
+	}
+	return r.Delay.RatString() + " " + r.Backlog.RatString()
 }

@@ -2,43 +2,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"time"
 
+	"buffy/internal/bench"
 	"buffy/internal/qm"
 	"buffy/internal/service"
 	"buffy/internal/store"
 )
-
-// storeOut is where -exp store writes its machine-readable summary.
-var storeOut = flag.String("store-out", "BENCH_store.json",
-	"JSON summary path for the durable-store warm-restart experiment")
-
-// storeRow is one corpus query's cold-solve vs disk-hit comparison
-// across a simulated restart.
-type storeRow struct {
-	Model   string  `json:"model"`
-	Kind    string  `json:"kind"`
-	Status  string  `json:"status"`
-	ColdMS  float64 `json:"cold_ms"`
-	DiskMS  float64 `json:"disk_ms"`
-	Speedup float64 `json:"speedup"`
-	DiskHit bool    `json:"disk_hit"`
-}
-
-// storeSummary is the experiment's JSON artifact; CI gates on HitRatio
-// and MedianSpeedup.
-type storeSummary struct {
-	Rows          []storeRow `json:"rows"`
-	HitRatio      float64    `json:"hit_ratio"`
-	MedianSpeedup float64    `json:"median_speedup"`
-	StoreBytes    int64      `json:"store_bytes"`
-	StoreEntries  int        `json:"store_entries"`
-	Fingerprint   string     `json:"fingerprint"`
-}
 
 // storeCorpus is a spread of solver-bound queries across the qm corpus:
 // witnesses that exist, verifications that hold, a bound and a sweep, so
@@ -77,13 +49,13 @@ func storeModelName(req *service.Request) string {
 // corpus is solved cold through an engine writing behind to a disk
 // store, the engine is shut down and a fresh one opened over the same
 // directory (a restart with zero memory), and the corpus replayed. Every
-// replay must hit the disk tier with the same answer; the summary
-// records per-query cold vs disk-hit latency. The CI gate requires a
-// disk hit ratio >= 0.9 and a median speedup >= 2x.
-func runStoreExp() error {
+// replay must hit the disk tier with the same answer; each query records
+// a store/<model>/cold and a store/<model>/disk entry. The experiment
+// fails below a disk hit ratio of 0.9 or a median speedup of 2x.
+func runStoreExp() ([]bench.Experiment, error) {
 	dir, err := os.MkdirTemp("", "buffy-bench-store-*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	fp := service.PipelineFingerprint()
@@ -94,7 +66,7 @@ func runStoreExp() error {
 	corpus := storeCorpus()
 	s1, err := open()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	e1 := service.New(service.Config{Workers: 2, Store: s1})
 	cold := make([]time.Duration, len(corpus))
@@ -104,26 +76,27 @@ func runStoreExp() error {
 		start := time.Now()
 		res, err := solveOn(e1, &r)
 		if err != nil {
-			return fmt.Errorf("cold %s: %w", storeModelName(req), err)
+			return nil, fmt.Errorf("cold %s: %w", storeModelName(req), err)
 		}
 		cold[i] = time.Since(start)
 		status[i] = res.Status
 		if res.CacheHit {
-			return fmt.Errorf("cold %s unexpectedly served from cache", storeModelName(req))
+			return nil, fmt.Errorf("cold %s unexpectedly served from cache", storeModelName(req))
 		}
 	}
 	if err := shutdownEngine(e1); err != nil { // flushes write-behinds, closes the store
-		return err
+		return nil, err
 	}
 
 	// "Restart": a fresh store over the same directory (recovery scan
 	// included) under a fresh engine with a cold memory tier.
 	s2, err := open()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	e2 := service.New(service.Config{Workers: 2, Store: s2})
-	var rows []storeRow
+	var exps []bench.Experiment
+	var speedups []float64
 	hits := 0
 	fmt.Printf("%-20s  %-7s  %-10s  %9s  %9s  %8s  %s\n",
 		"model", "kind", "status", "cold", "disk", "speedup", "tier")
@@ -132,67 +105,47 @@ func runStoreExp() error {
 		start := time.Now()
 		res, err := solveOn(e2, &r)
 		if err != nil {
-			return fmt.Errorf("replay %s: %w", storeModelName(req), err)
+			return exps, fmt.Errorf("replay %s: %w", storeModelName(req), err)
 		}
 		disk := time.Since(start)
-		hit := res.CacheHit && res.CacheTier == service.CacheTierDisk
-		if hit {
+		if res.CacheHit && res.CacheTier == service.CacheTierDisk {
 			hits++
 		}
 		if res.Status != status[i] {
-			return fmt.Errorf("replay %s: answer changed across restart: %s vs %s",
+			return exps, fmt.Errorf("replay %s: answer changed across restart: %s vs %s",
 				storeModelName(req), res.Status, status[i])
 		}
-		row := storeRow{
-			Model:  storeModelName(req),
-			Kind:   string(req.Kind),
-			Status: res.Status,
-			ColdMS: float64(cold[i].Microseconds()) / 1000,
-			DiskMS: float64(disk.Microseconds()) / 1000,
-
-			DiskHit: hit,
-		}
+		var speedup float64
 		if disk > 0 {
-			row.Speedup = float64(cold[i]) / float64(disk)
+			speedup = float64(cold[i]) / float64(disk)
 		}
-		rows = append(rows, row)
+		speedups = append(speedups, speedup)
+		name := "store/" + storeModelName(req)
+		exps = append(exps, advisory(name+"/cold", res.Status, cold[i]), advisory(name+"/disk", res.Status, disk))
 		fmt.Printf("%-20s  %-7s  %-10s  %8.2fms  %8.2fms  %7.1fx  %s\n",
-			row.Model, row.Kind, row.Status, row.ColdMS, row.DiskMS, row.Speedup, res.CacheTier)
+			storeModelName(req), req.Kind, res.Status, ms(cold[i]), ms(disk), speedup, res.CacheTier)
 	}
 	st := e2.Metrics().Store
 	if err := shutdownEngine(e2); err != nil {
-		return err
+		return exps, err
 	}
 
-	sum := storeSummary{
-		Rows:          rows,
-		HitRatio:      float64(hits) / float64(len(corpus)),
-		MedianSpeedup: medianSpeedup(rows),
-		Fingerprint:   fp,
-	}
+	hitRatio := float64(hits) / float64(len(corpus))
+	medianSpeedup, _ := bench.MedianIQR(speedups)
+	var entries int
+	var size int64
 	if st != nil {
-		sum.StoreBytes = st.Bytes
-		sum.StoreEntries = st.Entries
+		entries, size = st.Entries, st.Bytes
 	}
 	fmt.Printf("\ndisk hit ratio %.2f (%d/%d), median speedup %.1fx, %d entries / %d bytes on disk\n",
-		sum.HitRatio, hits, len(corpus), sum.MedianSpeedup, sum.StoreEntries, sum.StoreBytes)
-
-	data, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		return err
+		hitRatio, hits, len(corpus), medianSpeedup, entries, size)
+	if hitRatio < 0.9 {
+		return exps, fmt.Errorf("disk hit ratio %.2f below the 0.9 gate", hitRatio)
 	}
-	if err := os.WriteFile(*storeOut, append(data, '\n'), 0o644); err != nil {
-		return err
+	if medianSpeedup < 2 {
+		return exps, fmt.Errorf("median disk-hit speedup %.2fx below the 2x gate", medianSpeedup)
 	}
-	fmt.Printf("wrote %s\n", *storeOut)
-
-	if sum.HitRatio < 0.9 {
-		return fmt.Errorf("disk hit ratio %.2f below the 0.9 gate", sum.HitRatio)
-	}
-	if sum.MedianSpeedup < 2 {
-		return fmt.Errorf("median disk-hit speedup %.2fx below the 2x gate", sum.MedianSpeedup)
-	}
-	return nil
+	return exps, nil
 }
 
 func shutdownEngine(e *service.Engine) error {
@@ -220,20 +173,4 @@ func solveOn(e *service.Engine, req *service.Request) (*service.Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-func medianSpeedup(rows []storeRow) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	sp := make([]float64, 0, len(rows))
-	for _, r := range rows {
-		sp = append(sp, r.Speedup)
-	}
-	for i := 1; i < len(sp); i++ { // insertion sort: the corpus is tiny
-		for j := i; j > 0 && sp[j] < sp[j-1]; j-- {
-			sp[j], sp[j-1] = sp[j-1], sp[j]
-		}
-	}
-	return sp[len(sp)/2]
 }

@@ -1,23 +1,17 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"buffy/internal/backend/smtbe"
+	"buffy/internal/bench"
 	"buffy/internal/core"
 	"buffy/internal/ir"
 	"buffy/internal/lang/sema"
 	"buffy/internal/qm"
 	"buffy/internal/vet"
 )
-
-// vetOut is where -exp vet writes its machine-readable summary.
-var vetOut = flag.String("vet-out", "BENCH_vet.json",
-	"JSON summary path for the static-tier experiment")
 
 // Synthetic programs the static tier decides outright — the cases where
 // the pre-solve gate saves the whole solver invocation.
@@ -42,31 +36,14 @@ const benchNeverHolds = `never(in buffer a, out buffer b) {
 }
 `
 
-// vetRow is one program's gate-cost-vs-solver-cost measurement: the vet
-// latency in microseconds (the overhead every query pays), whether the
-// static tier decided the query, and the SMT solve time in milliseconds
-// (the cost the gate saves when it decides, and the denominator of the
-// overhead ratio when it does not).
-type vetRow struct {
-	Program string  `json:"program"`
-	Mode    string  `json:"mode"`
-	T       int     `json:"t"`
-	VetUS   float64 `json:"vet_us"`
-	Decided bool    `json:"decided"`
-	Reason  string  `json:"reason,omitempty"`
-	SMTMS   float64 `json:"smt_ms"`
-	// SavedMS = SMTMS when the gate decided (the solver never runs);
-	// otherwise 0 and the vet latency is pure — and tiny — overhead.
-	SavedMS     float64 `json:"saved_ms"`
-	OverheadPct float64 `json:"overhead_pct,omitempty"`
-}
-
 // runVetExp measures the static tier against the solver across programs
 // it decides (contradictions, dead and never-holding asserts) and real
 // corpus queries it must pass through (the gate's overhead case). Any
 // static verdict the SMT result contradicts fails the experiment — the
-// same soundness contract the differential test pins.
-func runVetExp() error {
+// same soundness contract the differential test pins. Each program
+// records a vet/<program>/static entry (best of three vet runs; verdict
+// the static reason, or "undecided") and a vet/<program>/smt entry.
+func runVetExp() ([]bench.Experiment, error) {
 	cases := []struct {
 		name, src string
 		mode      smtbe.Mode
@@ -81,7 +58,7 @@ func runVetExp() error {
 		{"sp-q", qm.SPQuerySrc, smtbe.Witness, 6, map[string]int64{"N": 2}},
 	}
 
-	var rows []vetRow
+	var exps []bench.Experiment
 	var savedTotal, overheadTotal float64
 	fmt.Printf("%-14s  %-7s  %9s  %-22s  %9s  %9s\n",
 		"program", "mode", "vet", "decided", "smt", "saved")
@@ -106,68 +83,41 @@ func runVetExp() error {
 		// directly so the measurement bypasses the gate itself.
 		p, err := core.Parse(c.src)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
+			return exps, fmt.Errorf("%s: %w", c.name, err)
 		}
 		smtRes, err := smtbe.Check(p.Info, smtbe.Options{
 			IR:   ir.Options{T: c.t, Params: c.params},
 			Mode: c.mode,
 		})
 		if err != nil {
-			return fmt.Errorf("%s: smt: %w", c.name, err)
+			return exps, fmt.Errorf("%s: smt: %w", c.name, err)
 		}
 		if decided { // soundness: the static answer must match the solver's
 			switch {
 			case c.mode == smtbe.Verify && v.Verify == "holds" && smtRes.Status != smtbe.Holds:
-				return fmt.Errorf("%s: static verify=holds but SMT says %v", c.name, smtRes.Status)
+				return exps, fmt.Errorf("%s: static verify=holds but SMT says %v", c.name, smtRes.Status)
 			case c.mode == smtbe.Witness && v.Witness == "no-witness" && smtRes.Status != smtbe.NoWitness:
-				return fmt.Errorf("%s: static witness=no-witness but SMT says %v", c.name, smtRes.Status)
+				return exps, fmt.Errorf("%s: static witness=no-witness but SMT says %v", c.name, smtRes.Status)
 			}
 		}
 
-		row := vetRow{
-			Program: c.name,
-			Mode:    c.mode.String(),
-			T:       c.t,
-			VetUS:   float64(best.Nanoseconds()) / 1e3,
-			Decided: decided,
-			Reason:  v.Reason,
-			SMTMS:   float64(smtRes.Duration.Microseconds()) / 1e3,
-		}
+		vetUS, smtMS := float64(best.Nanoseconds())/1e3, ms(smtRes.Duration)
+		static, decidedCol, saved := "undecided", "-", "-"
 		if decided {
-			row.SavedMS = row.SMTMS
-			savedTotal += row.SavedMS
-		} else if row.SMTMS > 0 {
-			row.OverheadPct = row.VetUS / 10 / row.SMTMS // (vet_us/1000)/smt_ms*100
-			overheadTotal += row.VetUS / 1e3
+			// The solver never runs: the gate saves the whole solve.
+			static, decidedCol, saved = v.Reason, v.Reason, fmt.Sprintf("%7.3fms", smtMS)
+			savedTotal += smtMS
+		} else {
+			// The vet latency is pure — and tiny — overhead.
+			overheadTotal += vetUS / 1e3
 		}
-		rows = append(rows, row)
-
-		decidedCol := "-"
-		if decided {
-			decidedCol = v.Reason
-		}
-		saved := "-"
-		if decided {
-			saved = fmt.Sprintf("%7.3fms", row.SavedMS)
-		}
+		exps = append(exps,
+			advisory("vet/"+c.name+"/static", static, best),
+			advisory("vet/"+c.name+"/smt", smtRes.Status.String(), smtRes.Duration))
 		fmt.Printf("%-14s  %-7s  %7.1fµs  %-22s  %7.3fms  %9s\n",
-			c.name, row.Mode, row.VetUS, decidedCol, row.SMTMS, saved)
+			c.name, c.mode, vetUS, decidedCol, smtMS, saved)
 	}
 	fmt.Printf("static tier saved %.3fms of solver time; undecided queries paid %.3fms total gate overhead\n",
 		savedTotal, overheadTotal)
-
-	out := struct {
-		Rows         []vetRow `json:"rows"`
-		SavedMSTotal float64  `json:"saved_ms_total"`
-		GateMSTotal  float64  `json:"gate_overhead_ms_total"`
-	}{rows, savedTotal, overheadTotal}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*vetOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *vetOut)
-	return nil
+	return exps, nil
 }

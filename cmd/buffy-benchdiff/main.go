@@ -1,18 +1,18 @@
 // Command buffy-benchdiff is the perf regression gate: it compares two
-// BENCH_trajectory.json files written by `buffy-bench -exp trajectory`
-// and exits nonzero when the candidate run regressed past the
-// noise-aware thresholds.
+// BENCH_trajectory.json files written by `buffy-bench -out` and exits
+// nonzero when the candidate run regressed past the noise-aware
+// thresholds.
 //
-//	buffy-bench -exp trajectory -trajectory-out /tmp/new.json
+//	buffy-bench -exp all -out /tmp/new.json
 //	buffy-benchdiff BENCH_trajectory.json /tmp/new.json
 //
 // Deterministic solver work counters (conflicts, propagations, learnt
-// clauses from fixed-seed single-config solves) gate hard at
-// -max-work-regress on any machine. Wall-clock medians gate softly —
-// only when the two runs' machine fingerprints match, only above
-// -min-time-ms, and only when the delta clears both -max-time-regress
-// and -iqr-mult times the larger run's IQR. An experiment present in
-// the baseline but missing from the candidate is itself a regression.
+// clauses from fixed-seed single-config solves) gate hard at +30% on
+// any machine. Wall-clock medians gate softly — only when the two runs'
+// machine fingerprints match, only above 20ms, and only when the delta
+// clears both +50% and three times the larger run's IQR. A changed
+// verdict, or an experiment present in the baseline but missing from
+// the candidate, is itself a regression.
 //
 // Exit status: 0 no regression, 1 regression, 2 usage or unreadable
 // input.
@@ -27,38 +27,21 @@ import (
 )
 
 func main() {
-	maxWork := flag.Float64("max-work-regress", 0.30,
-		"allowed relative growth of a deterministic work counter (0.30 = +30%)")
-	maxTime := flag.Float64("max-time-regress", 0.50,
-		"allowed relative growth of a wall-clock median, same-machine runs only")
-	minTimeMS := flag.Float64("min-time-ms", 20,
-		"medians below this are scheduler noise and never gate")
-	iqrMult := flag.Float64("iqr-mult", 3,
-		"a time delta must also exceed this multiple of the larger IQR")
-	minWork := flag.Int64("min-work", 500,
-		"work counters below this absolute value never gate")
-	ignoreTime := flag.Bool("ignore-time", false,
-		"gate only on deterministic work counters, never wall clock")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: buffy-benchdiff BASELINE.json CANDIDATE.json")
+	}
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: buffy-benchdiff [flags] BASELINE.json CANDIDATE.json")
-		flag.PrintDefaults()
+		flag.Usage()
 		os.Exit(2)
 	}
-	os.Exit(run(flag.Arg(0), flag.Arg(1), bench.DiffOptions{
-		MaxWorkRegress: *maxWork,
-		MaxTimeRegress: *maxTime,
-		MinTimeMS:      *minTimeMS,
-		IQRMult:        *iqrMult,
-		MinWork:        *minWork,
-		IgnoreTime:     *ignoreTime,
-	}))
+	os.Exit(run(flag.Arg(0), flag.Arg(1)))
 }
 
 // run loads both trajectories, diffs them, and reports; split from main
 // so tests can drive the gate end-to-end on fixture files and assert
 // the exit code.
-func run(basePath, candPath string, opts bench.DiffOptions) int {
+func run(basePath, candPath string) int {
 	base, err := bench.Load(basePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "buffy-benchdiff: baseline: %v\n", err)
@@ -69,10 +52,10 @@ func run(basePath, candPath string, opts bench.DiffOptions) int {
 		fmt.Fprintf(os.Stderr, "buffy-benchdiff: candidate: %v\n", err)
 		return 2
 	}
-	regressions, notes := bench.Diff(base, cand, opts)
-	fmt.Printf("baseline:  %s (rev %s, go %s, %s/%s P=%d)\n",
+	regressions, notes := bench.Diff(base, cand)
+	fmt.Printf("baseline:  %s (rev %s, %s, %s/%s P=%d)\n",
 		basePath, orNone(base.GitRev), base.GoVersion, base.OS, base.Arch, base.GOMAXPROCS)
-	fmt.Printf("candidate: %s (rev %s, go %s, %s/%s P=%d)\n",
+	fmt.Printf("candidate: %s (rev %s, %s, %s/%s P=%d)\n",
 		candPath, orNone(cand.GitRev), cand.GoVersion, cand.OS, cand.Arch, cand.GOMAXPROCS)
 	for _, n := range notes {
 		fmt.Printf("note: %s\n", n)

@@ -1,61 +1,47 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
-// DiffOptions tunes the regression gate's thresholds. Zero values are
-// replaced by the defaults below, so a zero DiffOptions is the CI gate.
-type DiffOptions struct {
-	// MaxWorkRegress is the allowed relative growth of a deterministic
+// The gate's thresholds.
+const (
+	// maxWorkRegress is the allowed relative growth of a deterministic
 	// work counter before it is a regression (0.30 = +30%).
-	MaxWorkRegress float64
-	// MaxTimeRegress is the allowed relative growth of a wall-clock
+	maxWorkRegress = 0.30
+	// maxTimeRegress is the allowed relative growth of a wall-clock
 	// median (0.50 = +50%), applied only when fingerprints match.
-	MaxTimeRegress float64
-	// MinTimeMS floors the time gate: medians below it are too close to
+	maxTimeRegress = 0.50
+	// minTimeMS floors the time gate: medians below it are too close to
 	// scheduler noise to gate at any ratio.
-	MinTimeMS float64
-	// IQRMult scales the noise bar: a time delta must also exceed
-	// IQRMult x max(old IQR, new IQR) to count.
-	IQRMult float64
-	// MinWork floors the work gate: counters below it (a handful of
+	minTimeMS = 20
+	// iqrMult scales the noise bar: a time delta must also exceed
+	// iqrMult x max(old IQR, new IQR) to count.
+	iqrMult = 3
+	// minWork floors the work gate: counters below it (a handful of
 	// restarts, say) flip large ratios on tiny absolute changes.
-	MinWork int64
-	// IgnoreTime disables the wall-clock gate entirely, leaving only
-	// the deterministic work counters.
-	IgnoreTime bool
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.MaxWorkRegress == 0 {
-		o.MaxWorkRegress = 0.30
-	}
-	if o.MaxTimeRegress == 0 {
-		o.MaxTimeRegress = 0.50
-	}
-	if o.MinTimeMS == 0 {
-		o.MinTimeMS = 20
-	}
-	if o.IQRMult == 0 {
-		o.IQRMult = 3
-	}
-	if o.MinWork == 0 {
-		o.MinWork = 500
-	}
-	return o
-}
+	minWork = 500
+)
 
 // Finding is one gated metric that regressed past its threshold.
 type Finding struct {
 	Exp    string  // experiment name
-	Metric string  // "median_ms", a work counter key, or "presence"
+	Metric string  // "median_ms", a work counter key, "presence" or "verdict"
 	Old    float64 // baseline value
 	New    float64 // candidate value
 	Limit  float64 // the threshold the candidate crossed
+	// OldVerdict and NewVerdict are the two answers of a "verdict"
+	// finding.
+	OldVerdict, NewVerdict string
 }
 
 func (f Finding) String() string {
-	if f.Metric == "presence" {
+	switch f.Metric {
+	case "presence":
 		return fmt.Sprintf("%s: experiment missing from candidate run", f.Exp)
+	case "verdict":
+		return fmt.Sprintf("%s: verdict %q -> %q", f.Exp, f.OldVerdict, f.NewVerdict)
 	}
 	return fmt.Sprintf("%s: %s %.6g -> %.6g (limit %.6g, %+.1f%%)",
 		f.Exp, f.Metric, f.Old, f.New, f.Limit, 100*(f.New-f.Old)/f.Old)
@@ -67,14 +53,14 @@ func (f Finding) String() string {
 // mismatches, sub-floor counters, non-deterministic probes, new
 // experiments). An experiment present in the baseline but absent from
 // the candidate is itself a regression: silently dropping a probe would
-// otherwise shrink coverage for free.
-func Diff(base, cand *Trajectory, opts DiffOptions) (regressions []Finding, notes []string) {
-	opts = opts.withDefaults()
-	timeGate := !opts.IgnoreTime
-	if timeGate && !base.FingerprintMatch(cand) {
-		timeGate = false
+// otherwise shrink coverage for free. So is a changed verdict, on any
+// machine and for any probe: a faster run that answers differently is
+// a correctness bug, not a speedup.
+func Diff(base, cand *Trajectory) (regressions []Finding, notes []string) {
+	timeGate := base.FingerprintMatch(cand)
+	if !timeGate {
 		notes = append(notes, fmt.Sprintf(
-			"machine fingerprints differ (%s/%s go%s P=%d vs %s/%s go%s P=%d): wall-clock medians are advisory, only deterministic work counters gate",
+			"machine fingerprints differ (%s/%s %s P=%d vs %s/%s %s P=%d): wall-clock medians are advisory, only deterministic work counters gate",
 			base.OS, base.Arch, base.GoVersion, base.GOMAXPROCS,
 			cand.OS, cand.Arch, cand.GoVersion, cand.GOMAXPROCS))
 	}
@@ -91,6 +77,10 @@ func Diff(base, cand *Trajectory, opts DiffOptions) (regressions []Finding, note
 		if !ok {
 			regressions = append(regressions, Finding{Exp: b.Name, Metric: "presence"})
 			continue
+		}
+		if b.Verdict != "" && c.Verdict != "" && b.Verdict != c.Verdict {
+			regressions = append(regressions, Finding{
+				Exp: b.Name, Metric: "verdict", OldVerdict: b.Verdict, NewVerdict: c.Verdict})
 		}
 
 		// Advisory probes (intrinsically nondeterministic wall clocks
@@ -119,15 +109,15 @@ func Diff(base, cand *Trajectory, opts DiffOptions) (regressions []Finding, note
 						Limit: float64(oldV)})
 					continue
 				}
-				if oldV < opts.MinWork {
+				if oldV < minWork {
 					if newV > oldV {
 						notes = append(notes, fmt.Sprintf(
 							"%s: %s %d -> %d below work floor %d, not gated",
-							b.Name, key, oldV, newV, opts.MinWork))
+							b.Name, key, oldV, newV, minWork))
 					}
 					continue
 				}
-				limit := float64(oldV) * (1 + opts.MaxWorkRegress)
+				limit := float64(oldV) * (1 + maxWorkRegress)
 				if float64(newV) > limit {
 					regressions = append(regressions, Finding{
 						Exp: b.Name, Metric: key,
@@ -141,13 +131,13 @@ func Diff(base, cand *Trajectory, opts DiffOptions) (regressions []Finding, note
 
 		// Wall clock: soft gate. The delta must clear the relative
 		// threshold AND the IQR noise bar AND the absolute floor.
-		if timeGate && b.MedianMS >= opts.MinTimeMS {
-			limit := b.MedianMS * (1 + opts.MaxTimeRegress)
-			noise := opts.IQRMult * maxF(b.IQRMS, c.IQRMS)
+		if timeGate && b.MedianMS >= minTimeMS {
+			limit := b.MedianMS * (1 + maxTimeRegress)
+			noise := iqrMult * max(b.IQRMS, c.IQRMS)
 			if c.MedianMS > limit && c.MedianMS-b.MedianMS > noise {
 				regressions = append(regressions, Finding{
 					Exp: b.Name, Metric: "median_ms",
-					Old: b.MedianMS, New: c.MedianMS, Limit: maxF(limit, b.MedianMS+noise)})
+					Old: b.MedianMS, New: c.MedianMS, Limit: max(limit, b.MedianMS+noise)})
 			}
 		}
 	}
@@ -165,17 +155,6 @@ func sortedWorkKeys(m map[string]int64) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	return keys
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,9 +1,10 @@
 // Package bench holds the benchmark-trajectory schema and the
 // noise-aware comparison logic behind the perf regression gate:
-// cmd/buffy-bench writes a Trajectory (one summarized probe per
-// experiment, repeat-run median/IQR plus deterministic work counters),
-// and cmd/buffy-benchdiff diffs two of them, gating work counters hard
-// and wall-clock softly.
+// cmd/buffy-bench writes a Trajectory (one summarized entry per probe
+// or experiment row: median/IQR wall clock, verdict, and for solver
+// probes per-stage times and deterministic work counters), and
+// cmd/buffy-benchdiff diffs two of them, gating verdicts and work
+// counters hard and wall-clock softly.
 //
 // The split matters because the two metric families degrade differently
 // across machines. Solver work counters (conflicts, propagations,
@@ -34,6 +35,13 @@ type Experiment struct {
 	RunsMS   []float64 `json:"runs_ms"`
 	MedianMS float64   `json:"median_ms"`
 	IQRMS    float64   `json:"iqr_ms"`
+	// Verdict is the answer the run produced ("holds", "witness@1",
+	// "dominated 3/2 3", ...). Answers are machine-independent, so a
+	// changed verdict gates on every machine, advisory probes included.
+	Verdict string `json:"verdict,omitempty"`
+	// StagesMS is the per-stage median wall clock of a traced solver
+	// probe (parse, compile, bitblast, encode residue, search, ...).
+	StagesMS map[string]float64 `json:"stages_ms,omitempty"`
 	// Work holds machine-independent solver effort counters
 	// (conflicts, propagations, ...) when the probe is a deterministic
 	// single-config solve; nil for wall-clock-only probes.
@@ -43,15 +51,20 @@ type Experiment struct {
 	// probe that claims determinism but measures drift is recorded
 	// false and falls back to the soft time gate.
 	Deterministic bool `json:"deterministic"`
-	// TimeOnly marks probes whose only meaningful metric is wall clock
-	// (analytical bounds, portfolio races, end-to-end pipelines).
-	TimeOnly bool `json:"time_only"`
-	// Advisory marks probes that are tracked for the record but never
-	// gated: a first-conclusive-answer-wins portfolio race has
+	// Advisory marks probes whose timings are tracked for the record
+	// but never gated: a first-conclusive-answer-wins portfolio race has
 	// intrinsically nondeterministic wall clock (which config wins
-	// varies run to run), so no threshold separates regression from
-	// luck. benchdiff reports their drift as a note.
+	// varies run to run), and a single-sample experiment row has no
+	// noise bar, so no threshold separates regression from luck.
+	// benchdiff reports their drift as a note; presence and verdict
+	// still gate.
 	Advisory bool `json:"advisory,omitempty"`
+}
+
+// NewExperiment summarizes one probe's repeat-run wall clocks.
+func NewExperiment(name string, runsMS ...float64) Experiment {
+	med, iqr := MedianIQR(runsMS)
+	return Experiment{Name: name, RunsMS: runsMS, MedianMS: med, IQRMS: iqr}
 }
 
 // Trajectory is the BENCH_trajectory.json file: one benchmark run's

@@ -738,9 +738,17 @@ func (e *Engine) runJob(job *Job) {
 			asp.SetAttrs(telemetry.Int("n", int64(attempt)), telemetry.String("degraded", degraded))
 		}
 		if req.Kind == KindSweep {
-			res, err = e.runSweepSafe(actx, job, req)
+			res, err = runSafe(actx, func(ctx context.Context) (*Result, error) {
+				return e.runSweep(ctx, job, req)
+			})
+			// runSafe recovers every panic, so the verdict stream closes
+			// however the sweep ends: the streaming handler's read loop
+			// must never outlive the worker.
+			close(job.verdicts)
 		} else {
-			res, err = runAnalysisSafe(actx, req, job.progress)
+			res, err = runSafe(actx, func(ctx context.Context) (*Result, error) {
+				return runAnalysis(ctx, req, job.progress)
+			})
 		}
 		asp.End()
 		class, reason = classify(res, err)
@@ -883,12 +891,12 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// runAnalysisSafe shields the worker pool from panics escaping the
-// analysis stack: Validate should reject anything that can panic, but a
-// panic that slips through must fail one job, not crash the service. The
+// runSafe shields the worker pool from panics escaping the analysis
+// stack: Validate should reject anything that can panic, but a panic
+// that slips through must fail one job, not crash the service. The
 // recovered panic is wrapped in ErrAnalysisPanic so the failure taxonomy
 // can classify it as transient.
-func runAnalysisSafe(ctx context.Context, req *Request, prog *sat.Progress) (res *Result, err error) {
+func runSafe(ctx context.Context, run func(context.Context) (*Result, error)) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("%w: %v", ErrAnalysisPanic, r)
@@ -897,23 +905,7 @@ func runAnalysisSafe(ctx context.Context, req *Request, prog *sat.Progress) (res
 	faultinject.Do(ctx, faultinject.PointAllocPressure)
 	faultinject.Do(ctx, faultinject.PointSolverStall)
 	faultinject.Do(ctx, faultinject.PointWorkerPanic)
-	return runAnalysis(ctx, req, prog)
-}
-
-// runSweepSafe is runSweep behind the worker-pool panic shield, with the
-// guarantee that the job's verdict stream closes however the sweep ends —
-// the streaming handler's read loop must never outlive the worker.
-func (e *Engine) runSweepSafe(ctx context.Context, job *Job, req *Request) (res *Result, err error) {
-	defer close(job.verdicts)
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("%w: %v", ErrAnalysisPanic, r)
-		}
-	}()
-	faultinject.Do(ctx, faultinject.PointAllocPressure)
-	faultinject.Do(ctx, faultinject.PointSolverStall)
-	faultinject.Do(ctx, faultinject.PointWorkerPanic)
-	return e.runSweep(ctx, job, req)
+	return run(ctx)
 }
 
 // runSweep answers a sweep request on a pooled warm session: acquire (or
