@@ -133,14 +133,11 @@ func main() {
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
 
-	// With -explain, a SearchRecorder rides the progress feed; the report
-	// is rendered after the analysis (see printExplain).
-	var rec *sat.SearchRecorder
+	// -explain and -stats read one effort ledger that every solver call of
+	// the analysis publishes into (see printExplain and printStats).
 	var progress *sat.Progress
-	if *explain {
-		progress = &sat.Progress{}
-		rec = sat.NewSearchRecorder()
-		progress.SetRecorder(rec)
+	if *explain || *stats {
+		progress = sat.NewProgress()
 	}
 
 	_, psp := telemetry.StartSpan(ctx, "parse")
@@ -172,7 +169,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		printCheck(prog.Name(), res, *stats, *planOut)
+		printCheck(prog.Name(), res, *stats, progress, *planOut)
 		winner = res.Winner
 	case "sweep":
 		runSweep(ctx, prog, a, *maxT, *sweepWitness, *stats, *planOut)
@@ -253,7 +250,9 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
-	printExplain(rec, winner)
+	if *explain {
+		printExplain(progress, winner)
+	}
 	printTrace(tr, *traceJSON)
 }
 
@@ -281,19 +280,14 @@ func printTrace(tr *telemetry.Trace, asJSON bool) {
 }
 
 // printExplain renders the -explain search report after the analysis
-// output (a no-op without -explain or when no solver ran). winner names
-// the portfolio config that produced the answer, "" outside a race.
-func printExplain(rec *sat.SearchRecorder, winner string) {
-	rep := rec.Report()
-	if rep == nil || rep.Totals.Solves == 0 {
+// output (a no-op when no solver ran). winner names the portfolio config
+// that produced the answer, "" outside a race.
+func printExplain(ledger *sat.Progress, winner string) {
+	rep := ledger.Report()
+	if rep.Totals.Solves == 0 {
 		return
 	}
-	rep.Winner = winner
-	for i := range rep.Configs {
-		if rep.Configs[i].Name != "" && rep.Configs[i].Name == winner {
-			rep.Configs[i].Winner = true
-		}
-	}
+	rep.MarkWinner(winner)
 	fmt.Print(rep.Render())
 }
 
@@ -343,7 +337,7 @@ func runSweep(ctx context.Context, prog *core.Program, a core.Analysis, maxT int
 		fmt.Printf("%s: %v up to T=%d (%.3fs total)\n",
 			prog.Name(), sr.Final.Status, maxT, sr.Duration.Seconds())
 	}
-	printStats(stats, sr.Final)
+	printStats(stats, sr.Final, a.Progress)
 	if sr.Final.Trace != nil {
 		fmt.Print(sr.Final.Trace)
 		savePlan(planOut, sr.Final.Trace)
@@ -353,7 +347,7 @@ func runSweep(ctx context.Context, prog *core.Program, a core.Analysis, maxT int
 // printCheck renders a verify/witness answer: the verdict line, then for
 // a portfolio race (-portfolio > 1) the winning configuration and each
 // config's search effort, then the stats and the trace as usual.
-func printCheck(name string, res *smtbe.Result, stats bool, planOut string) {
+func printCheck(name string, res *smtbe.Result, stats bool, ledger *sat.Progress, planOut string) {
 	fmt.Printf("%s: %v (%.3fs, %d clauses, %d vars, %d conflicts)\n",
 		name, res.Status, res.Duration.Seconds(), res.NumClauses, res.NumVars, res.SatStats.Conflicts)
 	if len(res.Runs) > 0 {
@@ -374,7 +368,7 @@ func printCheck(name string, res *smtbe.Result, stats bool, planOut string) {
 		}
 		fmt.Println()
 	}
-	printStats(stats, res)
+	printStats(stats, res, ledger)
 	if res.Trace == nil {
 		return
 	}
@@ -389,10 +383,11 @@ func printCheck(name string, res *smtbe.Result, stats bool, planOut string) {
 	}
 }
 
-// printStats renders the solver-effort counters behind the -stats flag,
-// and always explains an Unknown outcome's stop reason (which budget was
-// exhausted, or that the deadline/cancellation fired).
-func printStats(enabled bool, res *smtbe.Result) {
+// printStats renders the search effort the analysis spent, read from its
+// ledger, behind the -stats flag, and always explains an Unknown
+// outcome's stop reason (which budget was exhausted, or that the
+// deadline/cancellation fired).
+func printStats(enabled bool, res *smtbe.Result, ledger *sat.Progress) {
 	if res != nil && res.Status == smtbe.Unknown && res.Stop.String() != "" {
 		if res.Stop.Budget() {
 			fmt.Printf("search stopped: %s budget exhausted (raise -max-conflicts / -max-propagations / -max-learnt-bytes to search further)\n", res.Stop)
@@ -403,7 +398,7 @@ func printStats(enabled bool, res *smtbe.Result) {
 	if !enabled || res == nil {
 		return
 	}
-	s := res.SatStats
+	s := ledger.Totals()
 	fmt.Printf("solver stats: conflicts=%d decisions=%d propagations=%d restarts=%d learnt=%d removed=%d\n",
 		s.Conflicts, s.Decisions, s.Propagations, s.Restarts, s.Learnt, s.Removed)
 	fmt.Printf("encoding: %d clauses, %d vars\n", res.NumClauses, res.NumVars)

@@ -234,7 +234,7 @@ func EncodeContext(ctx context.Context, info *typecheck.Info, opts Options) (*En
 		return nil, err
 	}
 	if len(c.Asserts) == 0 {
-		return nil, fmt.Errorf("smtbe: program %s has no assert() — nothing to check", info.Prog.Name)
+		return nil, NoAsserts(info.Prog.Name)
 	}
 	_, bsp := telemetry.StartSpan(ectx, "bitblast")
 	for _, a := range c.Assumes {
@@ -274,26 +274,12 @@ func (e *Encoded) SolveContext(ctx context.Context, search sat.Options) (*Result
 
 // solveOn runs the search on s (the encoding solver itself or a fork) and
 // interprets the outcome. Duration counts from start, so callers fold the
-// encode time into the first result they produce.
+// encode time into the first result they produce. s is fresh, so its
+// whole-solver stats are what this call spent, encoding included.
 func (e *Encoded) solveOn(ctx context.Context, s *solver.Solver, start time.Time) (*Result, error) {
-	res := &Result{Mode: e.Mode, Compiled: e.C, Solver: s}
 	outcome := s.CheckContextNoModel(ctx)
-	res.SatStats = s.Stats()
-	res.NumClauses = s.NumClauses()
-	res.NumVars = s.NumVars()
-	switch {
-	case outcome == solver.Unknown:
-		res.Status = Unknown
-		res.Stop = s.StopReason()
-	case outcome == solver.Sat && e.Mode == Verify:
-		res.Status = CounterexampleFound
-	case outcome == solver.Unsat && e.Mode == Verify:
-		res.Status = Holds
-	case outcome == solver.Sat && e.Mode == Witness:
-		res.Status = WitnessFound
-	default:
-		res.Status = NoWitness
-	}
+	res, err := NewResult(ctx, e.Mode, outcome, s, sat.Stats{})
+	res.Compiled = e.C
 	if outcome == solver.Sat {
 		e.mu.Lock()
 		s.SnapshotModel()
@@ -301,6 +287,39 @@ func (e *Encoded) solveOn(ctx context.Context, s *solver.Solver, start time.Time
 		e.mu.Unlock()
 	}
 	res.Duration = time.Since(start)
+	return res, err
+}
+
+// NoAsserts is the error for a program without any assert(): a verify
+// or witness query on it has nothing to check.
+func NoAsserts(program string) error {
+	return fmt.Errorf("smtbe: program %s has no assert() — nothing to check", program)
+}
+
+// NewResult maps one finished search call on s to its Result: the status
+// of outcome in mode, the stop reason of an Unknown, the effort the call
+// spent (s's counters minus before; LearntBytes stays the current gauge)
+// and the encoding size. The error is ctx's when a cancelled or expired
+// ctx stopped the search. The caller sets Compiled, Trace and Duration.
+func NewResult(ctx context.Context, mode Mode, outcome solver.Result, s *solver.Solver, before sat.Stats) (*Result, error) {
+	st := s.Stats()
+	res := &Result{
+		Mode: mode, Solver: s, SatStats: st.Sub(before),
+		NumClauses: s.NumClauses(), NumVars: s.NumVars(),
+	}
+	res.SatStats.LearntBytes = st.LearntBytes
+	switch {
+	case outcome == solver.Unknown:
+		res.Status, res.Stop = Unknown, s.StopReason()
+	case outcome == solver.Sat && mode == Witness:
+		res.Status = WitnessFound
+	case outcome == solver.Sat:
+		res.Status = CounterexampleFound
+	case mode == Witness:
+		res.Status = NoWitness
+	default:
+		res.Status = Holds
+	}
 	if res.Status == Unknown && ctx.Err() != nil {
 		return res, ctx.Err()
 	}

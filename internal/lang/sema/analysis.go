@@ -60,16 +60,21 @@ func joinStates(a, b *absState) *absState {
 		return a
 	}
 	j := a.clone()
+	j.joinFrom(b)
+	return j
+}
+
+// joinFrom joins b's entries into s in place.
+func (s *absState) joinFrom(b *absState) {
 	for k, v := range b.vars {
-		j.vars[k] = join(j.vars[k], v)
+		s.vars[k] = join(s.vars[k], v)
 	}
 	for k, v := range b.bufs {
-		j.bufs[k] = join(j.bufs[k], v)
+		s.bufs[k] = join(s.bufs[k], v)
 	}
 	for k, v := range b.lists {
-		j.lists[k] = join(j.lists[k], v)
+		s.lists[k] = join(s.lists[k], v)
 	}
-	return j
 }
 
 func (s *absState) equal(o *absState) bool {
@@ -539,25 +544,30 @@ func (a *analyzer) execIf(n *ast.If, st *absState) {
 	case triFalse:
 		a.execBlock(n.Else, st)
 	default:
+		// The else branch runs on st itself and the join lands in the
+		// then-state, so an undecided if costs one clone, not three.
 		thenSt := st.clone()
-		elseSt := st.clone()
 		a.depth++
 		if a.refine(thenSt, n.Cond, true) {
 			a.execBlock(n.Then, thenSt)
 		} else {
 			thenSt.infeasible = true
 		}
-		if a.refine(elseSt, n.Cond, false) {
-			a.execBlock(n.Else, elseSt)
+		if a.refine(st, n.Cond, false) {
+			a.execBlock(n.Else, st)
 		} else {
-			elseSt.infeasible = true
+			st.infeasible = true
 		}
 		a.depth--
-		j := joinStates(thenSt, elseSt)
-		if thenSt.infeasible && elseSt.infeasible {
-			j = thenSt
+		switch {
+		case thenSt.infeasible && !st.infeasible:
+			// Only the else branch is feasible: st already holds it.
+		case st.infeasible:
+			*st = *thenSt
+		default:
+			thenSt.joinFrom(st)
+			*st = *thenSt
 		}
-		*st = *j
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 
 // TestSearchReportConcurrentWithRace samples a live portfolio race from
 // the outside — the pattern behind GET /v1/jobs/{id}/explain on a
-// running job: N diversified solvers publish into one shared Progress
-// with a SearchRecorder attached, while a poller goroutine repeatedly
-// snapshots Report() mid-solve. Run under -race in CI; the assertions
+// running job: N diversified solvers publish into one shared effort
+// ledger (Progress), while a poller goroutine repeatedly snapshots
+// Report() mid-solve. Run under -race in CI; the assertions
 // pin internal consistency of every mid-flight snapshot, and that the
 // final report attributes effort to each racing config by name.
 func TestSearchReportConcurrentWithRace(t *testing.T) {
@@ -28,9 +28,7 @@ func TestSearchReportConcurrentWithRace(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
 	info := qm.MustLoad(qm.FQBuggyQuerySrc)
-	p := &sat.Progress{}
-	rec := sat.NewSearchRecorder()
-	p.SetRecorder(rec)
+	p := sat.NewProgress()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -43,7 +41,7 @@ func TestSearchReportConcurrentWithRace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if rep := rec.Report(); rep != nil {
+				if rep := p.Report(); rep != nil {
 					reports = append(reports, rep)
 				}
 				time.Sleep(200 * time.Microsecond)
@@ -84,7 +82,7 @@ func TestSearchReportConcurrentWithRace(t *testing.T) {
 		}
 	}
 
-	final := rec.Report()
+	final := p.Report()
 	if final.Totals.Solves != 4 {
 		t.Errorf("solves = %d, want 4 (one per racing config)", final.Totals.Solves)
 	}

@@ -66,13 +66,12 @@ type Job struct {
 
 	// trace and progress are created with the job and immutable after:
 	// readers poll them concurrently with the solve (both types are
-	// internally synchronized). Cache-hit jobs carry neither.
+	// internally synchronized). progress is the job's effort ledger, the
+	// one source of its SatStats, search report and /metrics SAT
+	// counters; every job that can reach a worker has one, tracing or
+	// not. Cache-hit jobs carry neither.
 	trace    *telemetry.Trace
 	progress *sat.Progress
-	// recorder accumulates the progress feed into a SearchReport
-	// (attached to the result, served by /v1/jobs/{id}/explain). Rides
-	// on progress, so cache-hit jobs carry none.
-	recorder *sat.SearchRecorder
 
 	// verdicts streams a sweep job's per-horizon answers to a listening
 	// handler. Buffered for the deepest possible sweep so the worker never
@@ -93,13 +92,9 @@ type Job struct {
 // snapshot while the job runs.
 func (j *Job) Trace() *telemetry.Trace { return j.trace }
 
-// Progress returns the job's live solver-effort counters (nil for
-// cache-hit jobs). Safe to poll while the job runs.
+// Progress returns the job's effort ledger (nil for cache-hit jobs).
+// Safe to Snapshot or Report while the job runs.
 func (j *Job) Progress() *sat.Progress { return j.progress }
-
-// SearchRecorder returns the job's search-introspection recorder (nil
-// for cache-hit jobs). Safe to Report() while the job runs.
-func (j *Job) SearchRecorder() *sat.SearchRecorder { return j.recorder }
 
 // Verdicts returns the sweep job's per-horizon verdict stream (nil for
 // non-sweep and cache-hit jobs). The worker closes it when the sweep
@@ -470,7 +465,7 @@ func (e *Engine) serveCachedLocked(req *Request, cached *Result, tier string) *J
 	// A cache hit never runs the pipeline: no spans to record, no
 	// live progress to poll, no verdicts to stream (they ride in the
 	// cached result).
-	job.trace, job.progress, job.recorder, job.verdicts = nil, nil, nil, nil
+	job.trace, job.progress, job.verdicts = nil, nil, nil
 	// Shallow copy: the trace/workload payload is shared (immutable),
 	// only the per-response CacheHit/CacheTier stamps differ.
 	res := *cached
@@ -567,12 +562,10 @@ func (e *Engine) newJobLocked(req *Request) *Job {
 		done:      make(chan struct{}),
 		state:     StateQueued,
 		submitted: time.Now(),
+		progress:  sat.NewProgress(),
 	}
 	if e.cfg.TraceSpans > 0 {
 		job.trace = telemetry.NewTraceN(job.ID, e.cfg.TraceSpans)
-		job.progress = &sat.Progress{}
-		job.recorder = sat.NewSearchRecorder()
-		job.progress.SetRecorder(job.recorder)
 	}
 	if req.Kind == KindSweep {
 		job.verdicts = make(chan SweepVerdict, MaxHorizon+1)
@@ -793,6 +786,22 @@ func (e *Engine) runJob(job *Job) {
 	jobSpan.SetAttrs(telemetry.Int("attempts", int64(attempt)))
 	jobSpan.End()
 
+	// Every solver the job started has returned and every span has ended,
+	// so its ledger and trace are final. They land in /metrics here, once
+	// and whatever the outcome, before the job is published as finished:
+	// a client that sees it done reads metrics that include it. The
+	// result's SatStats and search report read the same ledger.
+	spent := job.progress.Totals()
+	e.met.recordEffort(spent)
+	var snap telemetry.View
+	if job.trace != nil {
+		e.met.recordStages(job.trace.Durations())
+		snap = job.trace.Snapshot()
+		// Span truncation is invisible in the tree itself; count it so an
+		// undersized -trace-spans shows up on /metrics.
+		e.met.traceSpansDropped.Add(int64(snap.Dropped))
+	}
+
 	switch class {
 	case failNone, failTransient:
 		if err != nil {
@@ -804,7 +813,7 @@ func (e *Engine) runJob(job *Job) {
 		// Either a definite answer or an Unknown the caller must interpret
 		// (budget exhausted with no retries left is still a valid Unknown).
 		e.met.completed.Add(1)
-		e.met.recordSolve(elapsed, res.SatStats)
+		e.met.recordSolve(elapsed)
 		e.admit.observe(job.Req.Kind, elapsed)
 		if res.Tier == "static" {
 			e.met.staticAnswered.Add(1)
@@ -814,18 +823,14 @@ func (e *Engine) runJob(job *Job) {
 		}
 		res.Attempts = attempt
 		res.Degraded = degraded
-		if rep := job.recorder.Report(); rep != nil && rep.Totals.Solves > 0 {
+		res.SatStats = spent
+		if rep := job.progress.Report(); rep.Totals.Solves > 0 {
 			// Attach the search introspection record to the result (and
 			// therefore to both cache tiers: explain works on cache hits
 			// too). Static-tier and netcalc answers never ran a solver, so
 			// they carry no report. The winner is known only here, where
 			// the portfolio outcome is.
-			rep.Winner = res.PortfolioWinner
-			for i := range rep.Configs {
-				if rep.Configs[i].Name != "" && rep.Configs[i].Name == rep.Winner {
-					rep.Configs[i].Winner = true
-				}
-			}
+			rep.MarkWinner(res.PortfolioWinner)
 			res.Search = rep
 		}
 		if res.conclusive() {
@@ -849,15 +854,8 @@ func (e *Engine) runJob(job *Job) {
 	}
 
 	if job.trace != nil {
-		// Fold the finished trace into the stage histograms and retain it
-		// for /v1/traces (the Job itself is pruned by retention earlier).
-		e.met.recordStages(job.trace.Durations())
-		snap := job.trace.Snapshot()
-		if snap.Dropped > 0 {
-			// Span truncation is invisible in the tree itself; count it so
-			// an undersized -trace-spans shows up on /metrics.
-			e.met.traceSpansDropped.Add(int64(snap.Dropped))
-		}
+		// Retain the finished trace for /v1/traces (the Job itself is
+		// pruned by retention earlier).
 		e.traces.add(TraceSummary{
 			JobID:      job.ID,
 			Kind:       string(job.Req.Kind),

@@ -116,7 +116,7 @@ func TestExplainStaticTierJob404(t *testing.T) {
 	}
 }
 
-// TestExplainCacheHit: a cache-hit job has no recorder of its own but
+// TestExplainCacheHit: a cache-hit job has no ledger of its own but
 // must still explain — the report rides the cached result.
 func TestExplainCacheHit(t *testing.T) {
 	e := New(Config{Workers: 1})

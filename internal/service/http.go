@@ -87,39 +87,21 @@ func NewHandler(e *Engine) http.Handler {
 			writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", id))
 			return
 		}
-		// Live (or just-finished) jobs build the report from their
-		// recorder; cache-hit jobs have no recorder but carry the original
-		// solve's report inside the cached result.
-		if rec := job.SearchRecorder(); rec != nil {
-			rep := rec.Report()
-			if res, _ := job.Result(); res != nil {
-				// Terminal job: prefer the result's attached report — it
-				// carries the winner annotation (and is byte-identical to
-				// what the cache tiers serve).
-				if res.Search != nil {
-					rep = res.Search
-				}
-			}
-			if rep.Totals.Solves == 0 {
-				writeError(w, http.StatusNotFound, fmt.Errorf("job %q ran no solver (static tier, netcalc, or not started)", id))
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{
-				"id":     job.ID,
-				"state":  job.State(),
-				"search": rep,
-			})
+		// Finished jobs (cache hits included) serve the report their
+		// result carries; live ones a snapshot of their ledger.
+		rep := job.Progress().Report()
+		if res, _ := job.Result(); res != nil {
+			rep = res.Search
+		}
+		if rep == nil || rep.Totals.Solves == 0 {
+			writeError(w, http.StatusNotFound, fmt.Errorf("job %q ran no solver (static tier, netcalc, or not started)", id))
 			return
 		}
-		if res, _ := job.Result(); res != nil && res.Search != nil {
-			writeJSON(w, http.StatusOK, map[string]any{
-				"id":     job.ID,
-				"state":  job.State(),
-				"search": res.Search,
-			})
-			return
-		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no search report (cache hit without one, static tier, or tracing disabled)", id))
+		writeJSON(w, http.StatusOK, map[string]any{
+			"id":     job.ID,
+			"state":  job.State(),
+			"search": rep,
+		})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
@@ -129,7 +111,7 @@ func NewHandler(e *Engine) http.Handler {
 			return
 		}
 		if job.Progress() == nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no progress (cache hit or tracing disabled)", id))
+			writeError(w, http.StatusNotFound, fmt.Errorf("job %q has no progress (cache hit)", id))
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{

@@ -80,8 +80,9 @@ type metrics struct {
 
 	workersBusy atomic.Int64
 
-	// Cumulative solver effort across all jobs (satellite: surfaced
-	// sat.Stats, aggregated service-wide).
+	// Cumulative search effort of every job that ran a solver, summed
+	// from each finished job's ledger (failed and retried attempts
+	// included; cache hits spend none).
 	satConflicts    atomic.Int64
 	satDecisions    atomic.Int64
 	satPropagations atomic.Int64
@@ -199,12 +200,16 @@ func (m *metrics) recordSubmit(kind Kind) {
 	}
 }
 
-func (m *metrics) recordSolve(d time.Duration, stats sat.Stats) {
-	m.satConflicts.Add(stats.Conflicts)
-	m.satDecisions.Add(stats.Decisions)
-	m.satPropagations.Add(stats.Propagations)
-	m.satRestarts.Add(stats.Restarts)
+// recordEffort adds one finished job's search effort (its ledger
+// totals) to the cumulative SAT counters.
+func (m *metrics) recordEffort(st sat.Stats) {
+	m.satConflicts.Add(st.Conflicts)
+	m.satDecisions.Add(st.Decisions)
+	m.satPropagations.Add(st.Propagations)
+	m.satRestarts.Add(st.Restarts)
+}
 
+func (m *metrics) recordSolve(d time.Duration) {
 	secs := d.Seconds()
 	m.latMu.Lock()
 	m.latCount++
@@ -511,10 +516,10 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 		counter("buffy_trace_export_spool_errors_total", "Spool write/marshal failures.", ex.SpoolErrors)
 	}
 
-	counter("buffy_sat_conflicts_total", "Cumulative CDCL conflicts.", s.SatConflicts)
-	counter("buffy_sat_decisions_total", "Cumulative CDCL decisions.", s.SatDecisions)
-	counter("buffy_sat_propagations_total", "Cumulative unit propagations.", s.SatPropagations)
-	counter("buffy_sat_restarts_total", "Cumulative CDCL restarts.", s.SatRestarts)
+	counter("buffy_sat_conflicts_total", "CDCL conflicts spent by every job that ran a solver, failed and retried attempts included.", s.SatConflicts)
+	counter("buffy_sat_decisions_total", "CDCL decisions spent by every job that ran a solver, failed and retried attempts included.", s.SatDecisions)
+	counter("buffy_sat_propagations_total", "Unit propagations spent in search by every job that ran a solver, failed and retried attempts included.", s.SatPropagations)
+	counter("buffy_sat_restarts_total", "CDCL restarts spent by every job that ran a solver, failed and retried attempts included.", s.SatRestarts)
 
 	fmt.Fprintf(w, "# HELP buffy_solve_duration_seconds Analysis solve wall time.\n# TYPE buffy_solve_duration_seconds histogram\n")
 	for _, bound := range latencyBuckets {

@@ -347,7 +347,10 @@ type Result struct {
 	Backlog    string                    `json:"backlog,omitempty"`
 	DurationUS int64                     `json:"duration_us,omitempty"`
 	CrossCheck *netcalc.CrossCheckReport `json:"cross_check,omitempty"`
-	// Solver effort and encoding size.
+	// SatStats is the search effort the job spent, read from its ledger:
+	// every solver call of every attempt (all portfolio configs, fperf
+	// checks, sweep horizons). NumClauses/NumVars are the answering
+	// encoding's size.
 	SatStats   sat.Stats `json:"sat_stats"`
 	NumClauses int       `json:"num_clauses,omitempty"`
 	NumVars    int       `json:"num_vars,omitempty"`
@@ -433,7 +436,6 @@ func resultFromCheck(kind Kind, portfolio int, r *smtbe.Result) *Result {
 		Kind:            kind,
 		Status:          r.Status.String(),
 		Trace:           r.Trace,
-		SatStats:        r.SatStats,
 		NumClauses:      r.NumClauses,
 		NumVars:         r.NumVars,
 		DurationMS:      r.Duration.Milliseconds(),
@@ -471,7 +473,7 @@ func resultFromBound(r *netcalc.Result) *Result {
 }
 
 // resultFromSweep flattens a sweep outcome into the wire result. The
-// top-level status, trace and solver-effort fields are the final
+// top-level status, trace and encoding-size fields are the final
 // horizon's (the one that ended the sweep); the per-horizon story rides
 // in Verdicts.
 func resultFromSweep(sr *session.SweepResult, hit bool) *Result {

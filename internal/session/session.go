@@ -207,7 +207,7 @@ func (s *Session) Solve(ctx context.Context, q Query) (*smtbe.Result, error) {
 		}
 	}
 	if n == 0 {
-		return nil, fmt.Errorf("smtbe: program %s has no assert() — nothing to check", s.info.Prog.Name)
+		return nil, smtbe.NoAsserts(s.info.Prog.Name)
 	}
 	b := s.sv.Builder()
 	var query *term.Term
@@ -225,37 +225,20 @@ func (s *Session) Solve(ctx context.Context, q Query) (*smtbe.Result, error) {
 		s.sv.SetProgress(q.Progress)
 		defer s.sv.SetProgress(s.opts.Solver.Progress)
 	}
+	before := s.sv.Stats()
 	outcome := s.sv.CheckAssumingContext(ctx, assumptions...)
 	s.queries.Add(1)
 
-	ct := c.TruncatedTo(q.T)
-	res := &smtbe.Result{
-		Mode: q.Mode, Compiled: ct, Solver: s.sv,
-		SatStats:   s.sv.Stats(),
-		NumClauses: s.sv.NumClauses(), NumVars: s.sv.NumVars(),
-	}
-	switch {
-	case outcome == solver.Unknown:
-		res.Status = smtbe.Unknown
-		res.Stop = s.sv.StopReason()
-	case outcome == solver.Sat && q.Mode == smtbe.Verify:
-		res.Status = smtbe.CounterexampleFound
-	case outcome == solver.Unsat && q.Mode == smtbe.Verify:
-		res.Status = smtbe.Holds
-	case outcome == solver.Sat && q.Mode == smtbe.Witness:
-		res.Status = smtbe.WitnessFound
-	default:
-		res.Status = smtbe.NoWitness
-	}
+	// SatStats is this query's effort: the session's counters before the
+	// call are earlier queries' work, possibly other jobs'.
+	res, err := smtbe.NewResult(ctx, q.Mode, outcome, s.sv, before)
+	res.Compiled = c.TruncatedTo(q.T)
 	if outcome == solver.Sat {
 		// The model covers the full unrolling; the truncated compilation
 		// restricts extraction to the first q.T steps, so the trace never
 		// reads the unconstrained tail.
-		res.Trace = smtbe.ExtractTrace(ct, s.sv)
+		res.Trace = smtbe.ExtractTrace(res.Compiled, s.sv)
 	}
 	res.Duration = time.Since(start)
-	if res.Status == smtbe.Unknown && ctx.Err() != nil {
-		return res, ctx.Err()
-	}
-	return res, nil
+	return res, err
 }

@@ -10,6 +10,7 @@ import (
 	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 	"buffy/internal/session"
+	"buffy/internal/smt/sat"
 	"buffy/internal/smt/solver"
 )
 
@@ -126,6 +127,35 @@ func TestModesInterleaved(t *testing.T) {
 	}
 	if sess.Queries() != int64(len(queries)) {
 		t.Fatalf("Queries() = %d, want %d", sess.Queries(), len(queries))
+	}
+}
+
+// TestQueryEffortPerQuery: two queries on one session, each with its own
+// fresh ledger. Each result's SatStats is that query's effort — equal to
+// its own ledger's total — not the session's running count, which would
+// fold the first query's conflicts into the second's.
+func TestQueryEffortPerQuery(t *testing.T) {
+	info := load(t, qm.FQBuggyQuerySrc)
+	sess, err := session.New(info, session.Options{IR: ir.Options{T: 6, Params: map[string]int64{"N": 3}}})
+	if err != nil {
+		t.Fatalf("session.New: %v", err)
+	}
+	for i, q := range []session.Query{
+		{Mode: smtbe.Witness, T: 6},
+		{Mode: smtbe.Verify, T: 5},
+	} {
+		q.Progress = sat.NewProgress()
+		res, err := sess.Solve(context.Background(), q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		spent := q.Progress.Totals().Conflicts
+		if i == 0 && spent == 0 {
+			t.Fatal("first query spent no conflicts; the check below would be vacuous")
+		}
+		if res.SatStats.Conflicts != spent {
+			t.Errorf("query %d: SatStats.Conflicts = %d, its ledger spent %d", i, res.SatStats.Conflicts, spent)
+		}
 	}
 }
 

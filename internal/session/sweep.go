@@ -21,8 +21,7 @@ type Verdict struct {
 	// per-horizon compile+solve, either because the program cannot share
 	// an encoding or because the session was evicted mid-sweep).
 	Warm bool
-	// Conflicts is the cumulative CDCL conflict count after this horizon
-	// (session-lifetime for warm verdicts, per-solve for cold ones).
+	// Conflicts is the CDCL conflicts this horizon's solve spent.
 	Conflicts int64
 }
 

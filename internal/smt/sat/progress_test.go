@@ -16,7 +16,7 @@ import (
 func TestProgressPublishedDuringSolve(t *testing.T) {
 	s := New()
 	loadHardRandom3SAT(s, 300, 1278, 0x2545f4914f6cdd1d)
-	p := &Progress{}
+	p := NewProgress()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -65,7 +65,7 @@ func TestProgressPublishedDuringSolve(t *testing.T) {
 // solves attached to one Progress (the fperf pattern) accumulate, never
 // reset — the counters are the job's total effort.
 func TestProgressSharedAcrossSolves(t *testing.T) {
-	p := &Progress{}
+	p := NewProgress()
 	var total int64
 	for i := 0; i < 3; i++ {
 		s := New()
@@ -86,7 +86,7 @@ func TestProgressSharedAcrossSolves(t *testing.T) {
 // solvers publishing into one Progress race-free, with the final counts
 // summing every solver's effort.
 func TestProgressConcurrentSolvers(t *testing.T) {
-	p := &Progress{}
+	p := NewProgress()
 	const n = 4
 	totals := make([]int64, n)
 	var wg sync.WaitGroup

@@ -2,42 +2,10 @@ package sat
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 )
 
-// SearchRecorder turns the live Progress feed into a retrospective
-// SearchReport: a bounded timeline of effort samples, restart/simplify
-// event marks, decision-depth and learnt-clause LBD distributions, and a
-// per-configuration effort breakdown for portfolio races.
-//
-// The recorder rides on Progress (SetRecorder), so it reaches every
-// solver the Progress reaches — portfolio goroutines, fperf's sequential
-// checks, session re-solves — with no extra plumbing. Solvers feed it
-// only on the amortized budget-check cadence (the same publish calls that
-// update Progress) plus one call per restart/simplify/solve boundary, so
-// the CDCL hot loop never sees it. All methods are nil-safe and
-// mutex-guarded; Report may be called concurrently with live solving.
-type SearchRecorder struct {
-	start time.Time
-
-	mu            sync.Mutex
-	samples       []SearchSample
-	stride        int // publishes per kept sample; doubles on decimation
-	skip          int // publishes to skip before the next kept sample
-	events        []SearchEvent
-	eventsDropped int64
-	depth         [len(depthBucketBounds) + 1]int64
-	lbd           [lbdOverflowBucket + 1]int64
-	totals        Stats
-	maxBudget     float64
-	solves        int64
-	configs       map[string]*ConfigEffort
-}
-
-// maxSamples bounds the timeline; when full the recorder drops every
+// maxSamples bounds the timeline; when full the ledger drops every
 // other sample and doubles its stride, so long solves keep a
 // shape-preserving, progressively coarser timeline instead of losing the
 // tail. maxEvents bounds event marks the same way drops are counted for
@@ -55,15 +23,6 @@ var depthBucketBounds = [...]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 // lbdOverflowBucket is the index of the "LBD >= 17" bucket; buckets
 // 0..15 hold exact LBDs 1..16.
 const lbdOverflowBucket = 16
-
-// NewSearchRecorder returns an empty recorder whose timeline starts now.
-func NewSearchRecorder() *SearchRecorder {
-	return &SearchRecorder{
-		start:   time.Now(),
-		stride:  1,
-		configs: make(map[string]*ConfigEffort),
-	}
-}
 
 // SearchSample is one point on the job-wide effort timeline. The
 // counters are cumulative across every solver attached to the job's
@@ -141,184 +100,22 @@ type SearchReport struct {
 	LBD           Distribution     `json:"lbd"`
 	Configs       []ConfigEffort   `json:"configs,omitempty"`
 	// Winner names the portfolio configuration that produced the answer;
-	// empty for single-config solves. Set by the caller that knows the
-	// race outcome (service / buffyc), not by the recorder.
+	// empty for single-config solves. Set with MarkWinner by the caller
+	// that knows the race outcome, not by the ledger.
 	Winner string `json:"winner,omitempty"`
 }
 
-// observe ingests one publish-cadence point from a solver: the effort
-// delta since that solver's previous publish, its budget fraction, its
-// current decision depth, and the delta of its LBD histogram. The
-// sample's cumulative counters are the recorder's own totals, read under
-// the same lock that appends the sample, so concurrent solvers can never
-// append samples out of order.
-func (r *SearchRecorder) observe(config string, d Stats, budgetFrac float64, depth int, lbdDelta *[lbdOverflowBucket + 1]int64) {
-	if r == nil {
+// MarkWinner names the portfolio configuration that produced the answer
+// and flags its row in the per-config breakdown. Nil-safe; a no-op for
+// an empty name.
+func (r *SearchReport) MarkWinner(name string) {
+	if r == nil || name == "" {
 		return
 	}
-	at := time.Since(r.start)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	r.totals.Conflicts += d.Conflicts
-	r.totals.Decisions += d.Decisions
-	r.totals.Propagations += d.Propagations
-	r.totals.Restarts += d.Restarts
-	r.totals.Learnt += d.Learnt
-	r.totals.LearntBytes += d.LearntBytes
-	r.maxBudget = max(r.maxBudget, budgetFrac)
-
-	ce := r.effortLocked(config)
-	ce.Conflicts += d.Conflicts
-	ce.Decisions += d.Decisions
-	ce.Propagations += d.Propagations
-	ce.Restarts += d.Restarts
-	ce.Learnt += d.Learnt
-
-	r.depth[depthBucket(int64(depth))]++
-	if lbdDelta != nil {
-		for i, n := range lbdDelta {
-			r.lbd[i] += n
-		}
+	r.Winner = name
+	for i := range r.Configs {
+		r.Configs[i].Winner = r.Configs[i].Name == name
 	}
-
-	if r.skip > 0 {
-		r.skip--
-		return
-	}
-	r.samples = append(r.samples, SearchSample{
-		AtMS:           float64(at.Microseconds()) / 1000,
-		Conflicts:      r.totals.Conflicts,
-		Decisions:      r.totals.Decisions,
-		Propagations:   r.totals.Propagations,
-		Restarts:       r.totals.Restarts,
-		Learnt:         r.totals.Learnt,
-		LearntBytes:    r.totals.LearntBytes,
-		BudgetFraction: r.maxBudget,
-		Depth:          depth,
-		Config:         config,
-	})
-	r.skip = r.stride - 1
-	if len(r.samples) >= maxSamples {
-		// Decimate: keep every other sample, double the stride. The
-		// timeline keeps its overall shape at half the resolution.
-		kept := r.samples[:0]
-		for i := 0; i < len(r.samples); i += 2 {
-			kept = append(kept, r.samples[i])
-		}
-		r.samples = kept
-		r.stride *= 2
-		r.skip = r.stride - 1
-	}
-}
-
-// event records a discrete search event mark.
-func (r *SearchRecorder) event(kind, config string, conflicts, detail int64) {
-	if r == nil {
-		return
-	}
-	at := time.Since(r.start)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if kind == "solve_start" {
-		r.solves++
-		r.effortLocked(config).Solves++
-	}
-	if len(r.events) >= maxEvents {
-		r.eventsDropped++
-		return
-	}
-	r.events = append(r.events, SearchEvent{
-		AtMS:      float64(at.Microseconds()) / 1000,
-		Kind:      kind,
-		Config:    config,
-		Conflicts: conflicts,
-		Detail:    detail,
-	})
-}
-
-// effortLocked returns (creating if needed) the per-config aggregate.
-func (r *SearchRecorder) effortLocked(config string) *ConfigEffort {
-	ce := r.configs[config]
-	if ce == nil {
-		ce = &ConfigEffort{Name: config}
-		r.configs[config] = ce
-	}
-	return ce
-}
-
-// depthBucket maps a decision depth to its histogram bucket index.
-func depthBucket(d int64) int {
-	for i, b := range depthBucketBounds {
-		if d <= b {
-			return i
-		}
-	}
-	return len(depthBucketBounds)
-}
-
-// Report snapshots the recorder into a standalone SearchReport. Safe to
-// call while solvers are still publishing; the result is internally
-// consistent under the recorder's lock. Nil-safe (returns nil).
-func (r *SearchRecorder) Report() *SearchReport {
-	if r == nil {
-		return nil
-	}
-	dur := time.Since(r.start)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
-	rep := &SearchReport{
-		DurationMS:    float64(dur.Microseconds()) / 1000,
-		SampleStride:  r.stride,
-		Samples:       append([]SearchSample(nil), r.samples...),
-		Events:        append([]SearchEvent(nil), r.events...),
-		EventsDropped: r.eventsDropped,
-		Totals: ProgressSnapshot{
-			Conflicts:      r.totals.Conflicts,
-			Decisions:      r.totals.Decisions,
-			Propagations:   r.totals.Propagations,
-			Restarts:       r.totals.Restarts,
-			Learnt:         r.totals.Learnt,
-			LearntBytes:    r.totals.LearntBytes,
-			Solves:         r.solves,
-			BudgetFraction: r.maxBudget,
-		},
-	}
-
-	for i, n := range r.depth {
-		rep.Depth.Count += n
-		if n == 0 {
-			continue
-		}
-		le := "+inf"
-		if i < len(depthBucketBounds) {
-			le = fmt.Sprintf("%d", depthBucketBounds[i])
-		}
-		rep.Depth.Buckets = append(rep.Depth.Buckets, DistBucket{Le: le, Count: n})
-	}
-	for i, n := range r.lbd {
-		rep.LBD.Count += n
-		if n == 0 {
-			continue
-		}
-		le := "+inf"
-		if i < lbdOverflowBucket {
-			le = fmt.Sprintf("%d", i+1)
-		}
-		rep.LBD.Buckets = append(rep.LBD.Buckets, DistBucket{Le: le, Count: n})
-	}
-
-	for _, ce := range r.configs {
-		rep.Configs = append(rep.Configs, *ce)
-	}
-	sort.Slice(rep.Configs, func(i, j int) bool {
-		if rep.Configs[i].Conflicts != rep.Configs[j].Conflicts {
-			return rep.Configs[i].Conflicts > rep.Configs[j].Conflicts
-		}
-		return rep.Configs[i].Name < rep.Configs[j].Name
-	})
-	return rep
 }
 
 // sparkRunes render a series as a one-line unicode sparkline.

@@ -6,31 +6,37 @@ import (
 	"testing"
 )
 
-// TestRecorderThroughSolve drives the recorder the way the service
-// does — attached to a Progress that a real SolveLimited publishes into
-// — and checks the report carries a timeline, restart marks, both
-// distributions, and totals that match the solver's own stats.
+// TestRecorderThroughSolve drives the ledger the way the service does —
+// a Progress that a real SolveLimited publishes into — and checks the
+// report carries a timeline, restart marks, both distributions, and
+// totals that match the solver's own stats.
 func TestRecorderThroughSolve(t *testing.T) {
 	s := New()
 	s.opts.Name = "unit-cfg"
 	loadHardRandom3SAT(s, 300, 1278, 0x2545f4914f6cdd1d)
-	p := &Progress{}
-	rec := NewSearchRecorder()
-	p.SetRecorder(rec)
+	p := NewProgress()
 
 	if got := s.SolveLimited(Limits{MaxConflicts: 3000, Progress: p}); got != Unknown {
 		t.Fatalf("status = %v, want Unknown (budget)", got)
 	}
 
-	rep := rec.Report()
+	rep := p.Report()
 	if rep == nil {
-		t.Fatal("nil report from a live recorder")
+		t.Fatal("nil report from a live ledger")
 	}
 	if len(rep.Samples) < 2 {
 		t.Fatalf("timeline has %d samples, want >= 2 (3000 conflicts crosses the publish cadence many times)", len(rep.Samples))
 	}
 	if rep.Totals.Conflicts != s.Stats().Conflicts {
 		t.Errorf("report conflicts %d != solver stats %d", rep.Totals.Conflicts, s.Stats().Conflicts)
+	}
+	// Snapshot, Totals and Report read one set of totals.
+	if snap, tot := p.Snapshot(), p.Totals(); snap != rep.Totals || tot.Conflicts != snap.Conflicts ||
+		tot.Propagations != snap.Propagations || tot.Removed != snap.Removed {
+		t.Errorf("snapshot %+v, totals %+v, report %+v disagree", snap, tot, rep.Totals)
+	}
+	if st, tot := s.Stats(), p.Totals(); tot.Learnt != st.Learnt || tot.Removed != st.Removed || tot.Restarts != st.Restarts {
+		t.Errorf("ledger totals %+v != solver stats %+v on learnt/removed/restarts", tot, st)
 	}
 	if rep.Totals.Solves != 1 {
 		t.Errorf("solves = %d, want 1", rep.Totals.Solves)
@@ -72,15 +78,15 @@ func TestRecorderThroughSolve(t *testing.T) {
 // the shape-preserving coarsening: never above maxSamples, stride
 // doubling, first sample retained.
 func TestRecorderDecimation(t *testing.T) {
-	rec := NewSearchRecorder()
+	p := NewProgress()
 	const pubs = maxSamples*4 + 37
 	for i := 0; i < pubs; i++ {
-		rec.observe("", Stats{Conflicts: 1}, 0, i%40, nil)
+		p.observe("", Stats{Conflicts: 1}, 0, i%40, nil)
 	}
-	rec.mu.Lock()
-	n, stride := len(rec.samples), rec.stride
-	first := rec.samples[0]
-	rec.mu.Unlock()
+	p.mu.Lock()
+	n, stride := len(p.samples), p.stride
+	first := p.samples[0]
+	p.mu.Unlock()
 	if n > maxSamples {
 		t.Fatalf("timeline grew to %d, bound is %d", n, maxSamples)
 	}
@@ -90,22 +96,22 @@ func TestRecorderDecimation(t *testing.T) {
 	if first.Conflicts != 1 {
 		t.Errorf("decimation lost the first sample (conflicts=%d)", first.Conflicts)
 	}
-	rep := rec.Report()
+	rep := p.Report()
 	if rep.Totals.Conflicts != pubs {
 		t.Errorf("totals lost effort under decimation: %d, want %d", rep.Totals.Conflicts, pubs)
 	}
 	if rep.SampleStride != stride {
-		t.Errorf("report stride %d != recorder stride %d", rep.SampleStride, stride)
+		t.Errorf("report stride %d != ledger stride %d", rep.SampleStride, stride)
 	}
 }
 
 // TestRecorderEventCap: overflow marks are counted, not kept.
 func TestRecorderEventCap(t *testing.T) {
-	rec := NewSearchRecorder()
+	p := NewProgress()
 	for i := 0; i < maxEvents+25; i++ {
-		rec.event("restart", "", int64(i), 0)
+		p.event("restart", "", int64(i), 0)
 	}
-	rep := rec.Report()
+	rep := p.Report()
 	if len(rep.Events) != maxEvents {
 		t.Errorf("kept %d events, bound is %d", len(rep.Events), maxEvents)
 	}
@@ -117,12 +123,12 @@ func TestRecorderEventCap(t *testing.T) {
 // TestRecorderConfigAttribution: effort lands on the config that
 // published it, and solve_start counts per-config solves.
 func TestRecorderConfigAttribution(t *testing.T) {
-	rec := NewSearchRecorder()
-	rec.event("solve_start", "geom", 0, 0)
-	rec.event("solve_start", "luby", 0, 0)
-	rec.observe("geom", Stats{Conflicts: 100}, 0, 3, nil)
-	rec.observe("luby", Stats{Conflicts: 40}, 0, 5, nil)
-	rep := rec.Report()
+	p := NewProgress()
+	p.event("solve_start", "geom", 0, 0)
+	p.event("solve_start", "luby", 0, 0)
+	p.observe("geom", Stats{Conflicts: 100}, 0, 3, nil)
+	p.observe("luby", Stats{Conflicts: 40}, 0, 5, nil)
+	rep := p.Report()
 	if len(rep.Configs) != 2 {
 		t.Fatalf("configs = %+v, want 2", rep.Configs)
 	}
@@ -133,17 +139,22 @@ func TestRecorderConfigAttribution(t *testing.T) {
 	if rep.Totals.Conflicts != 140 || rep.Totals.Solves != 2 {
 		t.Errorf("totals = %+v, want 140 conflicts over 2 solves", rep.Totals)
 	}
+	// MarkWinner flags exactly the named config.
+	rep.MarkWinner("luby")
+	if rep.Winner != "luby" || rep.Configs[0].Winner || !rep.Configs[1].Winner {
+		t.Errorf("after MarkWinner(luby): winner %q, configs %+v", rep.Winner, rep.Configs)
+	}
 }
 
 // TestReportJSONRoundTrip: the report rides the durable result store,
 // so a decode of its encode must be lossless.
 func TestReportJSONRoundTrip(t *testing.T) {
-	rec := NewSearchRecorder()
-	rec.event("solve_start", "cfg", 0, 0)
-	rec.observe("cfg", Stats{Conflicts: 64, Learnt: 10, LearntBytes: 640}, 0.25, 7, nil)
-	rec.event("restart", "cfg", 64, 128)
-	rep := rec.Report()
-	rep.Winner = "cfg"
+	p := NewProgress()
+	p.event("solve_start", "cfg", 0, 0)
+	p.observe("cfg", Stats{Conflicts: 64, Learnt: 10, Removed: 3, LearntBytes: 640}, 0.25, 7, nil)
+	p.event("restart", "cfg", 0, 128)
+	rep := p.Report()
+	rep.MarkWinner("cfg")
 
 	data, err := json.Marshal(rep)
 	if err != nil {
@@ -167,12 +178,10 @@ func TestReportJSONRoundTrip(t *testing.T) {
 func TestReportRender(t *testing.T) {
 	s := New()
 	loadHardRandom3SAT(s, 300, 1278, 0xdeadbeef12345)
-	p := &Progress{}
-	rec := NewSearchRecorder()
-	p.SetRecorder(rec)
+	p := NewProgress()
 	s.SolveLimited(Limits{MaxConflicts: 3000, Progress: p})
 
-	out := rec.Report().Render()
+	out := p.Report().Render()
 	for _, want := range []string{"search:", "timeline", "events:", "decision depth", "LBD"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
@@ -184,19 +193,23 @@ func TestReportRender(t *testing.T) {
 	}
 }
 
-// TestRecorderNilSafe: solvers publish through nil-guards; a Progress
-// without a recorder and a nil recorder must both be free.
+// TestRecorderNilSafe: solvers publish through nil-guards; a nil ledger
+// must be free to publish into and to read, and a fresh one must read
+// empty.
 func TestRecorderNilSafe(t *testing.T) {
-	var rec *SearchRecorder
-	rec.observe("", Stats{}, 0, 0, nil)
-	rec.event("restart", "", 0, 0)
-	if rec.Report() != nil {
-		t.Error("nil recorder produced a report")
-	}
-	p := &Progress{}
-	if p.Recorder() != nil {
-		t.Error("fresh Progress has a recorder attached")
-	}
 	var np *Progress
-	np.SetRecorder(NewSearchRecorder()) // must not panic
+	np.observe("", Stats{}, 0, 0, nil)
+	np.event("restart", "", 0, 0)
+	if np.Report() != nil {
+		t.Error("nil ledger produced a report")
+	}
+	if np.Totals() != (Stats{}) || np.Snapshot() != (ProgressSnapshot{}) {
+		t.Error("nil ledger reads non-zero totals")
+	}
+	p := NewProgress()
+	if rep := p.Report(); rep.Totals != (ProgressSnapshot{}) || len(rep.Samples) != 0 || len(rep.Configs) != 0 {
+		t.Errorf("fresh ledger is not empty: %+v", rep)
+	}
+	var nilRep *SearchReport
+	nilRep.MarkWinner("cfg") // must not panic
 }

@@ -89,6 +89,33 @@ type Stats struct {
 	LearntBytes  int64
 }
 
+// Sub returns the effort spent between before and s, field by field (for
+// the LearntBytes gauge: the change in footprint).
+func (s Stats) Sub(before Stats) Stats {
+	return Stats{
+		Conflicts:    s.Conflicts - before.Conflicts,
+		Decisions:    s.Decisions - before.Decisions,
+		Propagations: s.Propagations - before.Propagations,
+		Restarts:     s.Restarts - before.Restarts,
+		Learnt:       s.Learnt - before.Learnt,
+		Removed:      s.Removed - before.Removed,
+		LearntBytes:  s.LearntBytes - before.LearntBytes,
+	}
+}
+
+// add returns s plus the effort delta d.
+func (s Stats) add(d Stats) Stats {
+	return Stats{
+		Conflicts:    s.Conflicts + d.Conflicts,
+		Decisions:    s.Decisions + d.Decisions,
+		Propagations: s.Propagations + d.Propagations,
+		Restarts:     s.Restarts + d.Restarts,
+		Learnt:       s.Learnt + d.Learnt,
+		Removed:      s.Removed + d.Removed,
+		LearntBytes:  s.LearntBytes + d.LearntBytes,
+	}
+}
+
 // StopReason explains why a Solve call returned Unknown: which resource
 // budget was exhausted, or that the caller cancelled. StopNone means the
 // last solve was conclusive (or none has run).
@@ -150,9 +177,9 @@ type Limits struct {
 	// same amortized cadence as MaxConflicts, so Solve returns Unknown
 	// within a bounded number of search steps after cancellation.
 	Cancel <-chan struct{}
-	// Progress, when set, receives a lock-free live snapshot of search
-	// effort: the solver publishes counter deltas on the amortized
-	// budget-check cadence, so concurrent readers (a service progress
+	// Progress, when set, is the job's effort ledger: the solver publishes
+	// counter deltas into it on the amortized budget-check cadence and at
+	// solve boundaries, so concurrent readers (a service progress
 	// endpoint) never touch the hot-path Stats fields. Shareable across
 	// concurrent solves — each publishes only its own delta.
 	Progress *Progress
@@ -211,7 +238,7 @@ type Solver struct {
 	stopReason  StopReason
 	// lbdHist counts learnt clauses by LBD: index i holds LBD i+1, the
 	// last bucket everything >= lbdOverflowBucket+1. One increment per
-	// learnt clause; published as deltas to an attached SearchRecorder.
+	// learnt clause; published as deltas to an attached Progress.
 	lbdHist [lbdOverflowBucket + 1]int64
 
 	// debug enables expensive internal invariant checking after every
@@ -924,20 +951,16 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 	// Live progress: publish effort deltas on the amortized check cadence
 	// and once more on every exit path. The hot loop never touches the
 	// shared Progress outside publish calls, so Stats stays unsynchronized
-	// on the solver's own goroutine while pollers read atomics.
+	// on the solver's own goroutine while pollers read the ledger. The
+	// solve_start/solve_end events count solves and running solvers.
 	solveStart := time.Now()
 	pub := progressPub{p: lim.Progress, name: s.opts.Name}
-	if lim.Progress != nil {
-		pub.last = s.stats
-		pub.last.LearntBytes = s.learntBytes
-		pub.lastLBD = s.lbdHist
-		lim.Progress.solves.Add(1)
-		lim.Progress.running.Add(1)
+	if pub.p != nil {
+		pub.last, pub.lastLBD = s.Stats(), s.lbdHist
 		pub.event(s, "solve_start", 0)
 		defer func() {
 			pub.publish(s, s.budgetFraction(lim, conflictsAtStart, propsAtStart, solveStart))
 			pub.event(s, "solve_end", int64(s.stopReason))
-			lim.Progress.running.Add(-1)
 		}()
 	}
 
