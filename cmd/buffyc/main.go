@@ -6,7 +6,7 @@
 //	buffyc -mode sweep -maxT 8 -param N=3 sched.buffy   # minimal-horizon sweep
 //	                                                     # on one warm session
 //	buffyc -mode synth    -T 5 -param N=2 sched.buffy   # FPerf-style workload
-//	buffyc -backend netcalc -param RATE=1 -param BURST=3 -param C=2 tbrl.buffy
+//	buffyc -mode bound -param RATE=1 -param BURST=3 -param C=2 tbrl.buffy
 //	                                                     # analytical bounds (µs)
 //	buffyc -mode bound -crosscheck -T 6 ... tbrl.buffy   # + SMT differential
 //	buffyc -mode dafny    -T 4 -param N=3 sched.buffy   # emit Dafny source
@@ -34,7 +34,6 @@ import (
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/core"
 	"buffy/internal/lang/ast"
-	"buffy/internal/lang/sema"
 	"buffy/internal/session"
 	"buffy/internal/smt/sat"
 	"buffy/internal/telemetry"
@@ -61,7 +60,6 @@ func (p paramFlags) Set(s string) error {
 func main() {
 	params := paramFlags{}
 	mode := flag.String("mode", "verify", "verify | witness | sweep | synth | bound | vet | dafny | dafny-verify | smtlib | invariants | fmt")
-	backend := flag.String("backend", "", "analysis backend: smt | netcalc | dafny (default: inferred from -mode; an incompatible pairing is an error)")
 	crossCheck := flag.Bool("crosscheck", false, "differentially validate the netcalc bounds against the SMT backend at horizon T (mode bound)")
 	vetStrict := flag.Bool("vet-strict", false, "mode vet: exit nonzero on warnings too, not just errors (the CI corpus gate)")
 	T := flag.Int("T", 4, "time horizon (steps)")
@@ -83,24 +81,6 @@ func main() {
 	flag.Var(params, "param", "compile-time parameter, name=value (repeatable)")
 	flag.Parse()
 
-	// An explicit -backend with -mode left at its default implies the
-	// backend's canonical mode (buffyc -backend netcalc == -mode bound);
-	// an explicit incompatible pairing is rejected before any work.
-	modeSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "mode" {
-			modeSet = true
-		}
-	})
-	if *backend != "" && !modeSet {
-		if m, ok := defaultMode[*backend]; ok {
-			*mode = m
-		}
-	}
-	if err := checkBackendMode(*backend, *mode); err != nil {
-		fatal(err)
-	}
-
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: buffyc [flags] program.buffy")
 		flag.PrintDefaults()
@@ -111,15 +91,19 @@ func main() {
 		fatal(err)
 	}
 
+	a := core.Analysis{
+		T: *T, Params: params, Model: *model, Width: *width,
+		ArrivalsPerStep: *arrivals, BufferCap: *cap,
+		Portfolio:    *nPortfolio,
+		MaxConflicts: *maxConflicts, MaxPropagations: *maxProps, MaxLearntBytes: *maxLearnt,
+	}
+
 	// Vet is pure front-end static analysis: it must render parse and
 	// type errors as diagnostics instead of dying on them, and it works
 	// with unbound parameters, so it branches before core.Parse and the
 	// missing-params check.
 	if *mode == "vet" {
-		runVet(flag.Arg(0), string(src), sema.Options{
-			T: *T, Params: params, Width: *width,
-			ArrivalsPerStep: *arrivals, BufferCap: *cap,
-		}, *vetStrict)
+		runVet(flag.Arg(0), string(src), a, *vetStrict)
 		return
 	}
 
@@ -139,6 +123,7 @@ func main() {
 	if *explain || *stats {
 		progress = sat.NewProgress()
 	}
+	a.Progress = progress
 
 	_, psp := telemetry.StartSpan(ctx, "parse")
 	prog, err := core.Parse(string(src))
@@ -149,13 +134,6 @@ func main() {
 	if missing := missingParams(prog, params); len(missing) > 0 && *mode != "fmt" {
 		fatal(fmt.Errorf("program %s needs -param values for: %s",
 			prog.Name(), strings.Join(missing, ", ")))
-	}
-	a := core.Analysis{
-		T: *T, Params: params, Model: *model, Width: *width,
-		ArrivalsPerStep: *arrivals, BufferCap: *cap,
-		Portfolio:    *nPortfolio,
-		MaxConflicts: *maxConflicts, MaxPropagations: *maxProps, MaxLearntBytes: *maxLearnt,
-		Progress: progress,
 	}
 
 	var winner string // the portfolio config that answered, "" outside a race

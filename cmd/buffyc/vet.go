@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 
-	"buffy/internal/lang/sema"
+	"buffy/internal/core"
 	"buffy/internal/vet"
 )
 
@@ -12,8 +12,8 @@ import (
 // every diagnostic with a source excerpt, reports the static verdict if
 // one was decided, and exits 1 on error findings (or on warnings too
 // with -vet-strict).
-func runVet(filename, src string, opts sema.Options, strict bool) {
-	res := vet.Source(src, opts)
+func runVet(filename, src string, a core.Analysis, strict bool) {
+	res := core.VetSource(src, a)
 	vet.Render(os.Stdout, filename, src, res)
 	fmt.Printf("%s: vet %s\n", filename, vet.Summary(res))
 	if res.Report.HasErrors() || (strict && !res.Report.Clean()) {

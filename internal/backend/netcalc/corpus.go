@@ -4,6 +4,7 @@ import (
 	"buffy/internal/buffer"
 	"buffy/internal/ir"
 	"buffy/internal/qm"
+	"buffy/internal/unroll"
 )
 
 // Corpus returns the standard netcalc model corpus: every qm topology with
@@ -23,9 +24,9 @@ func (e CorpusEntry) NetOptions() Options {
 // model's behaviour depends only on backlogs, so it is exact here.
 func (e CorpusEntry) IROptions() ir.Options {
 	return ir.Options{
-		T: e.T, Params: e.Params, ArrivalsPerStep: e.Arrivals,
-		BufferCap: e.BufferCap, MaxBytes: e.MaxBytes,
-		Model: buffer.CountModel{},
+		T: e.T, Params: e.Params,
+		Bounds: unroll.Bounds{ArrivalsPerStep: e.Arrivals, BufferCap: e.BufferCap, MaxBytes: e.MaxBytes},
+		Model:  buffer.CountModel{},
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 	"buffy/internal/smt/solver"
+	"buffy/internal/unroll"
 )
 
 func load(t *testing.T, src string) *typecheck.Info {
@@ -174,7 +175,7 @@ func TestConservationProperty(t *testing.T) {
 	}`
 	info := load(t, src)
 	s := solver.New(solver.Options{})
-	c, err := ir.Compile(info, s.Builder(), ir.Options{T: 3, ArrivalsPerStep: 2})
+	c, err := ir.Compile(info, s.Builder(), ir.Options{T: 3, Bounds: unroll.Bounds{ArrivalsPerStep: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 	"buffy/internal/smt/term"
+	"buffy/internal/unroll"
 )
 
 func load(t *testing.T, src string) *typecheck.Info {
@@ -107,7 +108,7 @@ func TestBacklogCapInvariant(t *testing.T) {
 		b := ctx.B
 		return b.Le(m.Buffers()["a"].BacklogP(ctx), b.IntConst(4))
 	}
-	res, err := ProveInvariant(info, Options{IR: ir.Options{BufferCap: 4}}, prop)
+	res, err := ProveInvariant(info, Options{IR: ir.Options{Bounds: unroll.Bounds{BufferCap: 4}}}, prop)
 	if err != nil {
 		t.Fatal(err)
 	}

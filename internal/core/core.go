@@ -34,6 +34,7 @@ import (
 	"buffy/internal/smt/smtlib"
 	"buffy/internal/smt/solver"
 	"buffy/internal/synth"
+	"buffy/internal/unroll"
 )
 
 // Program is a parsed and checked Buffy program.
@@ -89,14 +90,16 @@ type Analysis struct {
 	// "multiclass" (§3's plug-in buffer models).
 	Model string
 	// BufferCap / OutBufferCap / ArrivalsPerStep / NumClasses / MaxBytes /
-	// ListCap mirror ir.Options.
+	// ListCap are the unroll.Bounds fields (see bounds); zero values take
+	// unroll's defaults in every layer.
 	BufferCap       int
 	OutBufferCap    int
 	ArrivalsPerStep int
 	NumClasses      int
 	MaxBytes        int
 	ListCap         int
-	// Width is the solver's integer bit width (default 12).
+	// Width is the solver's integer bit width (default
+	// unroll.DefaultWidth).
 	Width int
 	// MaxConflicts / MaxPropagations / MaxLearntBytes / Timeout bound each
 	// solver call; exhausting one yields an Unknown result whose Stop
@@ -126,32 +129,28 @@ type Analysis struct {
 	CrossCheck bool
 }
 
+// bounds is the analysis's bounded-model record, the one mapping from
+// an Analysis to the bounds every layer resolves through unroll.
+func (a Analysis) bounds() unroll.Bounds {
+	return unroll.Bounds{
+		BufferCap: a.BufferCap, OutBufferCap: a.OutBufferCap,
+		ArrivalsPerStep: a.ArrivalsPerStep, NumClasses: a.NumClasses,
+		MaxBytes: a.MaxBytes, ListCap: a.ListCap,
+	}
+}
+
 func (a Analysis) irOptions() (ir.Options, error) {
 	model, err := buffer.ModelByName(a.Model)
 	if err != nil {
 		return ir.Options{}, err
 	}
-	return ir.Options{
-		Model:           model,
-		T:               a.T,
-		Params:          a.Params,
-		BufferCap:       a.BufferCap,
-		OutBufferCap:    a.OutBufferCap,
-		ArrivalsPerStep: a.ArrivalsPerStep,
-		NumClasses:      a.NumClasses,
-		MaxBytes:        a.MaxBytes,
-		ListCap:         a.ListCap,
-	}, nil
+	return ir.Options{Model: model, T: a.T, Params: a.Params, Bounds: a.bounds()}, nil
 }
 
 // interpOptions configures the concrete interpreter behind Simulate and
 // Replay with the same bounds the solver encodes.
 func (a Analysis) interpOptions() interp.Options {
-	return interp.Options{
-		T: a.T, Params: a.Params,
-		BufferCap: a.BufferCap, OutBufferCap: a.OutBufferCap,
-		ListCap: a.ListCap, Width: a.Width, ArrivalsPerStep: a.ArrivalsPerStep,
-	}
+	return interp.Options{T: a.T, Params: a.Params, Bounds: a.bounds(), Width: a.Width}
 }
 
 func (a Analysis) solverOptions() solver.Options {
@@ -249,10 +248,7 @@ func (p *Program) SynthesizeWorkloadContext(ctx context.Context, a Analysis) (*f
 // GenerateDafny emits the program as a Dafny method (unrolled, inlined,
 // structured-havoc inputs), ready for the external Dafny toolchain.
 func (p *Program) GenerateDafny(a Analysis) (string, error) {
-	return dafny.Generate(p.Info, dafny.GenOptions{
-		T: a.T, Params: a.Params,
-		ArrivalsPerStep: a.ArrivalsPerStep, NumClasses: a.NumClasses,
-	})
+	return dafny.Generate(p.Info, dafny.GenOptions{T: a.T, Params: a.Params, Bounds: a.bounds()})
 }
 
 // VerifyDafny runs the Dafny-style mini annotation checker: each assert is
@@ -289,11 +285,7 @@ func (p *Program) InferInvariants(a Analysis) (*synth.HoudiniResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cap := a.BufferCap
-	if cap <= 0 {
-		cap = 8
-	}
-	cands := synth.Grammar(p.Info, probe, synth.GrammarOptions{BufferCap: cap})
+	cands := synth.Grammar(p.Info, probe, synth.GrammarOptions{})
 	return synth.Houdini(p.Info, ts.Options{IR: iro, Solver: a.solverOptions()}, cands)
 }
 

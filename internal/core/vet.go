@@ -20,28 +20,25 @@ import (
 	"buffy/internal/backend/smtbe"
 	"buffy/internal/lang/sema"
 	"buffy/internal/telemetry"
+	"buffy/internal/vet"
 )
 
 // semaOptions derives the static-analyzer configuration from an
-// Analysis, mirroring the ir bounds so the abstract semantics match what
-// the solver would encode.
+// Analysis: the same bounds the solver would encode.
 func (a Analysis) semaOptions() sema.Options {
-	return sema.Options{
-		T:               a.T,
-		Params:          a.Params,
-		BufferCap:       a.BufferCap,
-		OutBufferCap:    a.OutBufferCap,
-		ArrivalsPerStep: a.ArrivalsPerStep,
-		MaxBytes:        a.MaxBytes,
-		ListCap:         a.ListCap,
-		Width:           a.Width,
-	}
+	return sema.Options{T: a.T, Params: a.Params, Bounds: a.bounds(), Width: a.Width}
 }
 
 // Vet runs the static analyzer over the program with this analysis
 // configuration and returns the full diagnostic report.
 func (p *Program) Vet(a Analysis) *sema.Report {
 	return sema.Analyze(p.Info, a.semaOptions())
+}
+
+// VetSource vets raw source with this analysis configuration: parse and
+// type errors become diagnostics instead of errors (see vet.Source).
+func VetSource(src string, a Analysis) *vet.Result {
+	return vet.Source(src, a.semaOptions())
 }
 
 // vet is the pre-amble shared by the static tier and the vet gate: it

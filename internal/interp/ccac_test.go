@@ -6,6 +6,7 @@ import (
 	"buffy/internal/compose"
 	"buffy/internal/qm"
 	"buffy/internal/smt/solver"
+	"buffy/internal/unroll"
 )
 
 // TestCCACWitnessReplaysConcretely is the composed-system differential
@@ -36,7 +37,7 @@ func TestCCACWitnessReplaysConcretely(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := New(info, Options{T: T, Params: params, BufferCap: bufCap, OutBufferCap: big})
+		m, err := New(info, Options{T: T, Params: params, Bounds: unroll.Bounds{BufferCap: bufCap, OutBufferCap: big}})
 		if err != nil {
 			t.Fatal(err)
 		}

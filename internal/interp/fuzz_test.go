@@ -10,6 +10,7 @@ import (
 	"buffy/internal/ir"
 	"buffy/internal/qm"
 	"buffy/internal/smt/solver"
+	"buffy/internal/unroll"
 )
 
 // progGen generates random well-typed Buffy programs over a fixed state
@@ -184,7 +185,7 @@ func TestRandomProgramsSolverVsInterpreter(t *testing.T) {
 			t.Fatalf("iter %d: generated program does not check: %v\n%s", iter, err, src)
 		}
 		sv := solver.New(solver.Options{})
-		comp, err := ir.Compile(info, sv.Builder(), ir.Options{T: T, ArrivalsPerStep: 2, NumClasses: 2})
+		comp, err := ir.Compile(info, sv.Builder(), ir.Options{T: T, Bounds: unroll.Bounds{ArrivalsPerStep: 2, NumClasses: 2}})
 		if err != nil {
 			t.Fatalf("iter %d: compile: %v\n%s", iter, err, src)
 		}
@@ -218,7 +219,7 @@ func TestRandomProgramsSolverVsInterpreter(t *testing.T) {
 			t.Fatalf("iter %d: pinned program infeasible: %v\n%s", iter, got, src)
 		}
 		// Replay the pinned traffic step by step through the interpreter.
-		im2, err := New(info, Options{T: T, ArrivalsPerStep: 2})
+		im2, err := New(info, Options{T: T, Bounds: unroll.Bounds{ArrivalsPerStep: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 
 	"buffy/internal/lang/ast"
 	"buffy/internal/lang/typecheck"
+	"buffy/internal/unroll"
 )
 
 // Packet is a concrete packet.
@@ -51,17 +52,16 @@ func (b *Buffer) Arrive(p Packet) {
 	b.Pkts = append(b.Pkts, p)
 }
 
-// Options configures an interpreter run. The zero value matches ir's
-// defaults where they matter for agreement.
+// Options configures an interpreter run. The bounds resolve through
+// unroll exactly as ir's do, so a concrete run models the same buffers
+// the solver encodes.
 type Options struct {
-	Params       map[string]int64
-	T            int
-	BufferCap    int // default 8
-	OutBufferCap int // default matches ir's heuristic
-	ListCap      int // default max(#inputs, 4)
-	Width        int // integer wrap width; default 12 (bitblast.DefaultWidth)
-	// ArrivalsPerStep only affects the ir-matching OutBufferCap default.
-	ArrivalsPerStep int
+	Params map[string]int64
+	T      int
+	// Bounds sizes the bounded model; the interpreter reads the buffer
+	// and list capacities (ArrivalsPerStep enters the output-cap default).
+	unroll.Bounds
+	Width int // integer wrap width; default unroll.DefaultWidth
 }
 
 // AssertFailure records a failed assert during execution.
@@ -98,7 +98,6 @@ type Machine struct {
 	boolVar   map[string]bool  // name -> is boolean
 	arraySize map[string]int64
 	lists     map[string][]int64
-	listCap   int
 	bufs      map[string]*Buffer
 	bufOrder  []string
 	bufInsts  map[string][]string
@@ -115,14 +114,8 @@ func New(info *typecheck.Info, opts Options) (*Machine, error) {
 	if opts.T <= 0 {
 		opts.T = 1
 	}
-	if opts.BufferCap <= 0 {
-		opts.BufferCap = 8
-	}
 	if opts.Width <= 0 {
-		opts.Width = 12
-	}
-	if opts.ArrivalsPerStep <= 0 {
-		opts.ArrivalsPerStep = 1
+		opts.Width = unroll.DefaultWidth
 	}
 	m := &Machine{
 		info:      info,
@@ -153,20 +146,8 @@ func New(info *typecheck.Info, opts Options) (*Machine, error) {
 			numInputs += int(n)
 		}
 	}
-	if opts.ListCap <= 0 {
-		opts.ListCap = numInputs
-		if opts.ListCap < 4 {
-			opts.ListCap = 4
-		}
-	}
-	if opts.OutBufferCap <= 0 {
-		opts.OutBufferCap = opts.T*opts.ArrivalsPerStep*numInputs + opts.BufferCap
-		if opts.OutBufferCap < opts.BufferCap {
-			opts.OutBufferCap = opts.BufferCap
-		}
-	}
+	opts.Bounds = opts.Bounds.Resolve(opts.T, numInputs)
 	m.opts = opts
-	m.listCap = opts.ListCap
 
 	for _, bp := range info.Prog.Params {
 		n := int64(1)
@@ -237,6 +218,9 @@ func (m *Machine) initVar(d *ast.VarDecl) error {
 // Buffer returns the named buffer instance (e.g. "ibs[0]").
 func (m *Machine) Buffer(name string) *Buffer { return m.bufs[name] }
 
+// Bounds returns the machine's resolved bounded-model record.
+func (m *Machine) Bounds() unroll.Bounds { return m.opts.Bounds }
+
 // Inputs returns the input buffer instance names.
 func (m *Machine) Inputs() []string { return m.inputs }
 
@@ -303,7 +287,7 @@ func (m *Machine) execStmt(s ast.Stmt, le loopEnv) error {
 		if err != nil {
 			return err
 		}
-		if len(m.lists[lname]) < m.listCap {
+		if len(m.lists[lname]) < m.opts.ListCap {
 			m.lists[lname] = append(m.lists[lname], v)
 		}
 		return nil

@@ -9,6 +9,7 @@ import (
 	"buffy/internal/lang/typecheck"
 	"buffy/internal/qm"
 	"buffy/internal/smt/solver"
+	"buffy/internal/unroll"
 )
 
 func load(t *testing.T, src string) *typecheck.Info {
@@ -211,7 +212,7 @@ func TestRandomTrafficAgreement(t *testing.T) {
 				// Generate a random arrival pattern: 0..2 packets per input
 				// buffer per step, random flow in [0,3).
 				irOpts := ir.Options{
-					T: T, Params: sc.params, ArrivalsPerStep: 2, NumClasses: 3,
+					T: T, Params: sc.params, Bounds: unroll.Bounds{ArrivalsPerStep: 2, NumClasses: 3},
 				}
 				s := solver.New(solver.Options{})
 				comp, err := ir.Compile(info, s.Builder(), irOpts)
@@ -219,7 +220,7 @@ func TestRandomTrafficAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 				im, err := New(info, Options{
-					T: T, Params: sc.params, ArrivalsPerStep: 2,
+					T: T, Params: sc.params, Bounds: unroll.Bounds{ArrivalsPerStep: 2},
 				})
 				if err != nil {
 					t.Fatal(err)

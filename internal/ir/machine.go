@@ -8,6 +8,7 @@ import (
 	tok "buffy/internal/lang/token"
 	"buffy/internal/lang/typecheck"
 	"buffy/internal/smt/term"
+	"buffy/internal/unroll"
 )
 
 // listVal is a Buffy list lowered to bounded scalar slots (array
@@ -98,7 +99,14 @@ func NewMachine(info *typecheck.Info, b *term.Builder, opts Options) (*Machine, 
 			numInputs += int(n)
 		}
 	}
-	m.opts = opts.withDefaults(numInputs)
+	if opts.Model == nil {
+		opts.Model = buffer.ListModel{}
+	}
+	if opts.T <= 0 {
+		opts.T = 1
+	}
+	opts.Bounds = opts.Bounds.Resolve(opts.T, numInputs)
+	m.opts = opts
 	if m.opts.SymbolicT {
 		m.tvar = b.Var(m.prefix+"!T", term.Int)
 	}
@@ -212,6 +220,9 @@ func (m *Machine) InputNames() []string { return m.inputNames }
 
 // OutputNames returns output buffer instance names.
 func (m *Machine) OutputNames() []string { return m.outputNames }
+
+// Bounds returns the machine's resolved bounded-model record.
+func (m *Machine) Bounds() unroll.Bounds { return m.opts.Bounds }
 
 // Ctx exposes the buffer context (for composition drivers).
 func (m *Machine) Ctx() *buffer.Ctx { return m.ctx }

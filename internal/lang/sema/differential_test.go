@@ -20,12 +20,7 @@ import (
 )
 
 func irOptionsFor(tc vetCase) ir.Options {
-	return ir.Options{
-		T:               tc.opts.T,
-		Params:          tc.opts.Params,
-		BufferCap:       tc.opts.BufferCap,
-		ArrivalsPerStep: tc.opts.ArrivalsPerStep,
-	}
+	return ir.Options{T: tc.opts.T, Params: tc.opts.Params, Bounds: tc.opts.Bounds}
 }
 
 func TestStaticVerdictsAgreeWithSMT(t *testing.T) {

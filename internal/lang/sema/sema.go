@@ -10,6 +10,7 @@ import (
 	"buffy/internal/lang/ast"
 	"buffy/internal/lang/token"
 	"buffy/internal/lang/typecheck"
+	"buffy/internal/unroll"
 )
 
 // maxIntervalT caps the horizon the interval pass will unroll; beyond it
@@ -21,9 +22,9 @@ const maxIntervalT = 1024
 // unknown-size) arrays are summarized with weak updates.
 const maxArrayInstances = 64
 
-// Options configure an analysis. The bounds mirror ir.Options so the
-// abstract semantics match what the solver will actually encode; zero
-// values take the same defaults ir applies.
+// Options configure an analysis. The bounds are ir's: both resolve them
+// through unroll, so the abstract semantics match what the solver will
+// actually encode.
 type Options struct {
 	// T is the time horizon (number of unrolled steps).
 	T int
@@ -31,52 +32,12 @@ type Options struct {
 	// parameters are analyzed as unknown (top) — sound, but conclusive
 	// verdicts then usually require the structural facts alone.
 	Params map[string]int64
-	// BufferCap / OutBufferCap / ArrivalsPerStep / MaxBytes / ListCap
-	// mirror the ir.Options fields of the same names.
-	BufferCap       int
-	OutBufferCap    int
-	ArrivalsPerStep int
-	MaxBytes        int
-	ListCap         int
-	// Width is the solver's integer bit width (0: bitblast.DefaultWidth).
+	// Bounds sizes the bounded model, as in ir.Options.
+	unroll.Bounds
+	// Width is the solver's integer bit width (0: unroll.DefaultWidth).
 	// The interval domain refuses to conclude anything about values that
 	// could wrap at this width.
 	Width int
-}
-
-// DefaultWidth mirrors bitblast.DefaultWidth without importing it (sema
-// sits below the backends in the dependency order).
-const DefaultWidth = 12
-
-func (o Options) withDefaults(numInputs int) Options {
-	if o.T <= 0 {
-		o.T = 1
-	}
-	if o.BufferCap <= 0 {
-		o.BufferCap = 8
-	}
-	if o.ArrivalsPerStep <= 0 {
-		o.ArrivalsPerStep = 1
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 1
-	}
-	if o.ListCap <= 0 {
-		o.ListCap = numInputs
-		if o.ListCap < 4 {
-			o.ListCap = 4
-		}
-	}
-	if o.OutBufferCap <= 0 {
-		o.OutBufferCap = o.T*o.ArrivalsPerStep*numInputs + o.BufferCap
-		if o.OutBufferCap < o.BufferCap {
-			o.OutBufferCap = o.BufferCap
-		}
-	}
-	if o.Width <= 0 {
-		o.Width = DefaultWidth
-	}
-	return o
 }
 
 // Analyze runs all passes over a type-checked program and returns the
@@ -106,7 +67,13 @@ func Analyze(info *typecheck.Info, opts Options) *Report {
 	// Structural checks see the caller's raw horizon (B003 must observe a
 	// non-positive T); everything after runs on the defaulted bounds.
 	badHorizon := structuralPass(info, opts, rep)
-	opts = opts.withDefaults(numInputs)
+	if opts.T <= 0 {
+		opts.T = 1
+	}
+	opts.Bounds = opts.Bounds.Resolve(opts.T, numInputs)
+	if opts.Width <= 0 {
+		opts.Width = unroll.DefaultWidth
+	}
 
 	syntacticAsserts := 0
 	ast.Walk(info.Prog.Body, func(s ast.Stmt) {

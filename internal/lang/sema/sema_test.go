@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"buffy/internal/lang/sema"
+	"buffy/internal/unroll"
 	"buffy/internal/vet"
 )
 
@@ -102,7 +103,7 @@ var vetCases = []vetCase{
 		verify: "holds", witness: "no-witness", reason: "asserts-unreachable",
 	},
 	{
-		file: "overflow.buffy", opts: sema.Options{T: 4, BufferCap: 4, ArrivalsPerStep: 6},
+		file: "overflow.buffy", opts: sema.Options{T: 4, Bounds: unroll.Bounds{BufferCap: 4, ArrivalsPerStep: 6}},
 		want:   []wantDiag{{"B106", 9}},
 		verify: "holds", witness: "no-witness", reason: "no-asserts",
 	},

@@ -19,9 +19,8 @@ import (
 func structuralPass(info *typecheck.Info, opts Options, rep *Report) (badHorizon bool) {
 	prog := info.Prog
 
-	// B003: horizon sanity. opts.withDefaults clamps T to >= 1, so probe
-	// the caller-supplied value through the report only when it arrives
-	// non-positive — Analyze passes the raw value separately.
+	// B003: horizon sanity. Analyze clamps T to >= 1 only after this
+	// pass, so the caller-supplied value is still visible here.
 	if opts.T <= 0 {
 		rep.add(Diagnostic{
 			Code: CodeBadHorizon, Severity: Error, Pos: prog.NamePos,
@@ -119,7 +118,7 @@ func structuralPass(info *typecheck.Info, opts Options, rep *Report) (badHorizon
 		rep.add(Diagnostic{
 			Code: CodeNotFeedFwd, Severity: Warn, Pos: movePosFor(prog, cyc[0]),
 			Msg:  fmt.Sprintf("buffer topology is not feed-forward: cycle %s", cycleString(cyc)),
-			Hint: "netcalc lowering (-backend netcalc, POST /v1/bound) will reject this program; only the SMT tier can analyze it",
+			Hint: "netcalc lowering (-mode bound, POST /v1/bound) will reject this program; only the SMT tier can analyze it",
 		})
 	} else if !badHorizon {
 		// B004: horizon shallower than the longest input->output path —

@@ -23,6 +23,7 @@ import (
 
 	"buffy/internal/smt/solver"
 	"buffy/internal/smt/term"
+	"buffy/internal/unroll"
 )
 
 // Encoding exposes the artifacts of a direct scheduler encoding.
@@ -43,8 +44,9 @@ type Encoding struct {
 	Assume *term.Term
 }
 
-// cap is the queue capacity used by all encodings (matches ir's default).
-const cap = 8
+// queueCap is the queue capacity used by all encodings: the pipeline's
+// default buffer capacity.
+var queueCap = unroll.Bounds{}.Resolve(1, 0).BufferCap
 
 // symList is a bounded list of integers encoded as per-slot variables —
 // the scheduler-agnostic queue-of-pointers state FPerf encodes with
@@ -121,7 +123,7 @@ func mkArrivals(sv *solver.Solver, name string, n, T int) [][]*term.Term {
 
 // arriveInto clamps an arrival into a queue at capacity.
 func arriveInto(b *term.Builder, qlen, arrived *term.Term) *term.Term {
-	fits := b.Lt(qlen, b.IntConst(cap))
+	fits := b.Lt(qlen, b.IntConst(int64(queueCap)))
 	return b.Add(qlen, b.Ite(b.And(arrived, fits), b.IntConst(1), b.IntConst(0)))
 }
 
@@ -150,9 +152,5 @@ func boolToInt(b *term.Builder, t *term.Term) *term.Term {
 	return b.Ite(t, b.IntConst(1), b.IntConst(0))
 }
 
-func listCap(n int) int {
-	if n < 4 {
-		return 4
-	}
-	return n
-}
+// listCap is the pipeline's default list capacity for n input queues.
+func listCap(n int) int { return unroll.Bounds{}.Resolve(1, n).ListCap }

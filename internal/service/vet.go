@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"buffy/internal/core"
 	"buffy/internal/lang/sema"
 	"buffy/internal/vet"
 )
@@ -49,16 +50,7 @@ func vetHandler(e *Engine) http.HandlerFunc {
 
 		a := req.analysis()
 		start := time.Now()
-		res := vet.Source(req.Source, sema.Options{
-			T:               a.T,
-			Params:          a.Params,
-			BufferCap:       a.BufferCap,
-			OutBufferCap:    a.OutBufferCap,
-			ArrivalsPerStep: a.ArrivalsPerStep,
-			MaxBytes:        a.MaxBytes,
-			ListCap:         a.ListCap,
-			Width:           a.Width,
-		})
+		res := core.VetSource(req.Source, a)
 		elapsed := time.Since(start)
 
 		e.met.vetRequests.Add(1)

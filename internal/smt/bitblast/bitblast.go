@@ -17,12 +17,14 @@ import (
 	"buffy/internal/smt/cnf"
 	"buffy/internal/smt/sat"
 	"buffy/internal/smt/term"
+	"buffy/internal/unroll"
 )
 
-// DefaultWidth is the default two's-complement integer width. Twelve bits
-// (range -2048..2047) comfortably covers packet counts, byte counts and
-// queue indices in every model in this repository.
-const DefaultWidth = 12
+// DefaultWidth is the default two's-complement integer width, shared with
+// the static analyzer and the concrete interpreter. Twelve bits (range
+// -2048..2047) comfortably covers packet counts, byte counts and queue
+// indices in every model in this repository.
+const DefaultWidth = unroll.DefaultWidth
 
 // MinWidth and MaxWidth bound the supported integer widths: below two bits
 // two's complement degenerates, above 62 bits intermediate int64 arithmetic

@@ -29,22 +29,18 @@ type Candidate struct {
 
 // GrammarOptions bounds candidate generation.
 type GrammarOptions struct {
-	// Consts are the constants compared against (default {0, 1, Cap}).
+	// Consts are the constants compared against (default {0, 1, Cap},
+	// Cap being the probe machine's resolved buffer capacity).
 	Consts []int64
-	// BufferCap mirrors ir.Options.BufferCap for the cap constant.
-	BufferCap int
 }
 
 // Grammar generates candidate invariants over the program's state: bounds
 // on buffer backlogs and drop counters, bounds on integer globals, and
 // list-size bounds. The probe machine supplies the state shape.
 func Grammar(info *typecheck.Info, probe *ir.Machine, opts GrammarOptions) []Candidate {
-	if opts.BufferCap <= 0 {
-		opts.BufferCap = 8
-	}
 	consts := opts.Consts
 	if len(consts) == 0 {
-		consts = []int64{0, 1, int64(opts.BufferCap)}
+		consts = []int64{0, 1, int64(probe.Bounds().BufferCap)}
 	}
 	var out []Candidate
 	for _, name := range probe.BufferNames() {

@@ -8,6 +8,7 @@ import (
 	"buffy/internal/ir"
 	"buffy/internal/qm"
 	"buffy/internal/smt/solver"
+	"buffy/internal/unroll"
 )
 
 func TestGrammarShape(t *testing.T) {
@@ -41,13 +42,13 @@ func TestHoudiniPathServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := ts.Options{IR: ir.Options{Params: map[string]int64{"C": 2, "B": 2}, BufferCap: 8}}
+	opts := ts.Options{IR: ir.Options{Params: map[string]int64{"C": 2, "B": 2}, Bounds: unroll.Bounds{BufferCap: 8}}}
 	sv := solver.New(solver.Options{})
 	probe, err := ir.NewMachine(info, sv.Builder(), opts.IR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := Grammar(info, probe, GrammarOptions{Consts: []int64{0, 1, 4, 8}, BufferCap: 8})
+	cands := Grammar(info, probe, GrammarOptions{Consts: []int64{0, 1, 4, 8}})
 	res, err := Houdini(info, opts, cands)
 	if err != nil {
 		t.Fatal(err)
