@@ -182,7 +182,7 @@ func runA1() error {
 	b := sv.Builder()
 	ctx := &buffer.Ctx{B: b, Assume: sv.Assert, Prefix: "a1"}
 	mk := func(seq []int64) buffer.State {
-		st := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6})
+		st := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6, NumFields: 1})
 		for _, f := range seq {
 			st.Arrive(ctx, buffer.Packet{Fields: []*term.Term{b.IntConst(f)}, Bytes: b.IntConst(1)}, b.True())
 		}
@@ -190,8 +190,8 @@ func runA1() error {
 	}
 	s1 := mk([]int64{1, 1, 1, 2, 2, 2})
 	s2 := mk([]int64{1, 2, 1, 2, 1, 2})
-	sink1 := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6})
-	sink2 := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6})
+	sink1 := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6, NumFields: 1})
+	sink2 := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6, NumFields: 1})
 	_ = s1.MoveP(ctx, sink1, b.IntConst(2), nil, b.True())
 	_ = s2.MoveP(ctx, sink2, b.IntConst(2), nil, b.True())
 	f := buffer.Filter{Field: 0, Value: b.IntConst(2)}

@@ -45,11 +45,11 @@ func main() {
 	b := sv.Builder()
 	ctx := &buffer.Ctx{B: b, Assume: sv.Assert, Prefix: "ord"}
 	departFlow2 := func(seq []int64) *term.Term {
-		src := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6})
+		src := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6, NumFields: 1})
 		for _, f := range seq {
 			src.Arrive(ctx, buffer.Packet{Fields: []*term.Term{b.IntConst(f)}, Bytes: b.IntConst(1)}, b.True())
 		}
-		sink := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6})
+		sink := buffer.ListModel{}.Empty(ctx, buffer.Config{Cap: 6, NumFields: 1})
 		if err := src.MoveP(ctx, sink, b.IntConst(2), nil, b.True()); err != nil {
 			log.Fatal(err)
 		}

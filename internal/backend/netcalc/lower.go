@@ -6,6 +6,7 @@ import (
 
 	"buffy/internal/lang/ast"
 	"buffy/internal/lang/typecheck"
+	"buffy/internal/unroll"
 )
 
 // Lower maps a checked qm program to its feed-forward network and query
@@ -30,6 +31,9 @@ func Lower(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
 			"netcalc: no bound lowering for program %q (supported: delay, drr, rr, shaper, sp, sptandem, tbrl)",
 			info.Prog.Name)
 	}
+	// The arrival default is the encoder's, so both backends bound the
+	// same traffic.
+	opts.ArrivalsPerStep = unroll.Bounds{ArrivalsPerStep: opts.ArrivalsPerStep}.Resolve(0, 0).ArrivalsPerStep
 	return f(info, opts)
 }
 
@@ -43,14 +47,6 @@ var lowerings = map[string]lowering{
 	"sp":       lowerSP,
 	"rr":       lowerRR,
 	"drr":      lowerDRR,
-}
-
-// arrivals returns the effective per-step arrival bound (ir's default: 1).
-func (o Options) arrivals() int64 {
-	if o.ArrivalsPerStep <= 0 {
-		return 1
-	}
-	return int64(o.ArrivalsPerStep)
 }
 
 func (o Options) param(prog, name string) (int64, error) {
@@ -147,7 +143,7 @@ func lowerShaper(info *typecheck.Info, opts Options) (*Network, QuerySpec, error
 	if burst < guaranteed {
 		guaranteed = burst
 	}
-	a := opts.arrivals()
+	a := int64(opts.ArrivalsPerStep)
 	net := &Network{
 		Servers: []*Server{{Name: "shp", Beta: RateLatency(ratI(guaranteed), ratI(0)), Mux: MuxAggregate}},
 		Flows:   []*Flow{{Name: "f", Alpha: TokenBucket(ratI(a), ratI(a)), Path: []string{"shp"}}},
@@ -158,7 +154,7 @@ func lowerShaper(info *typecheck.Info, opts Options) (*Network, QuerySpec, error
 // lowerDelay: the fixed-delay stage forwards everything within the step —
 // service curve delta_1 (delay at most one step, no backlog carried over).
 func lowerDelay(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
-	a := opts.arrivals()
+	a := int64(opts.ArrivalsPerStep)
 	net := &Network{
 		Servers: []*Server{{Name: "d", Beta: Delay(ratI(1)), Mux: MuxAggregate}},
 		Flows:   []*Flow{{Name: "f", Alpha: TokenBucket(ratI(a), ratI(a)), Path: []string{"d"}}},
@@ -207,7 +203,7 @@ func lowerSP(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
 	}
 	net := &Network{
 		Servers: []*Server{{Name: "s", Beta: RateLatency(ratI(1), ratI(0)), Mux: MuxPriority, Prio: prio}},
-		Flows:   queueFlows(n, opts.arrivals()),
+		Flows:   queueFlows(n, int64(opts.ArrivalsPerStep)),
 	}
 	return net, starvationSpec(info), nil
 }
@@ -226,7 +222,7 @@ func lowerRR(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
 	}
 	net := &Network{
 		Servers: []*Server{{Name: "s", Beta: RateLatency(ratI(1), ratI(0)), Mux: MuxGuaranteed, Guaranteed: guaranteed}},
-		Flows:   queueFlows(n, opts.arrivals()),
+		Flows:   queueFlows(n, int64(opts.ArrivalsPerStep)),
 	}
 	return net, starvationSpec(info), nil
 }
@@ -249,7 +245,7 @@ func lowerDRR(info *typecheck.Info, opts Options) (*Network, QuerySpec, error) {
 	}
 	net := &Network{
 		Servers: []*Server{{Name: "s", Beta: RateLatency(ratI(1), ratI(0)), Mux: MuxGuaranteed, Guaranteed: guaranteed}},
-		Flows:   queueFlows(n, opts.arrivals()),
+		Flows:   queueFlows(n, int64(opts.ArrivalsPerStep)),
 	}
 	return net, starvationSpec(info), nil
 }

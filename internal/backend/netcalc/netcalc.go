@@ -22,8 +22,9 @@ const Fingerprint = "minplus-tfa-sfa-v1"
 type Options struct {
 	// Params are the program's compile-time parameter bindings.
 	Params map[string]int64
-	// ArrivalsPerStep bounds per-input arrivals per step (default 1); it is
-	// the peak rate of unshaped input flows' arrival curves.
+	// ArrivalsPerStep bounds per-input arrivals per step (default: the
+	// unroll.Bounds default); it is the peak rate of unshaped input flows'
+	// arrival curves.
 	ArrivalsPerStep int
 }
 

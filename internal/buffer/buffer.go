@@ -47,13 +47,8 @@ func (c *Ctx) FreshInt(hint string) *term.Term {
 	return c.B.Var(fmt.Sprintf("%s!%s#%d", c.Prefix, hint, c.fresh), term.Int)
 }
 
-// FreshBool returns a fresh boolean variable.
-func (c *Ctx) FreshBool(hint string) *term.Term {
-	c.fresh++
-	return c.B.Var(fmt.Sprintf("%s!%s#%d", c.Prefix, hint, c.fresh), term.Bool)
-}
-
-// Config describes a buffer's shape.
+// Config describes a buffer's shape. Models use every field as given;
+// the defaults live in unroll.Bounds.Resolve.
 type Config struct {
 	// Cap is the maximum number of packets the buffer can hold; arrivals
 	// and moves beyond it are dropped (and counted). For the list model it
@@ -151,21 +146,4 @@ func ModelByName(name string) (Model, error) {
 		return MultiClassModel{}, nil
 	}
 	return nil, fmt.Errorf("buffer: unknown model %q", name)
-}
-
-// Normalize fills config defaults.
-func (cfg Config) Normalize() Config {
-	if cfg.Cap <= 0 {
-		cfg.Cap = 8
-	}
-	if cfg.NumFields <= 0 {
-		cfg.NumFields = 1
-	}
-	if cfg.NumClasses <= 0 {
-		cfg.NumClasses = 4
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 4
-	}
-	return cfg
 }

@@ -33,7 +33,7 @@ func TestEmptyBacklogs(t *testing.T) {
 	for _, m := range models() {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
-		st := m.Empty(c, Config{})
+		st := m.Empty(c, Config{Cap: 8, NumFields: 1, NumClasses: 4})
 		if v := constVal(t, st.BacklogP(c)); v != 0 {
 			t.Errorf("%s: empty backlog-p = %d", m.Name(), v)
 		}
@@ -51,7 +51,7 @@ func TestArriveAndBacklog(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		st := m.Empty(c, Config{Cap: 4})
+		st := m.Empty(c, Config{Cap: 4, NumFields: 1, NumClasses: 4})
 		st.Arrive(c, pkt(b, 1, 1), b.True())
 		st.Arrive(c, pkt(b, 2, 1), b.True())
 		st.Arrive(c, pkt(b, 1, 1), b.False()) // guard false: no arrival
@@ -66,7 +66,7 @@ func TestCapacityDrop(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		st := m.Empty(c, Config{Cap: 2})
+		st := m.Empty(c, Config{Cap: 2, NumFields: 1, NumClasses: 4})
 		for i := 0; i < 4; i++ {
 			st.Arrive(c, pkt(b, int64(i%2), 1), b.True())
 		}
@@ -84,8 +84,8 @@ func TestMovePreservesPackets(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		src := m.Empty(c, Config{Cap: 4})
-		dst := m.Empty(c, Config{Cap: 4})
+		src := m.Empty(c, Config{Cap: 4, NumFields: 1, NumClasses: 4})
+		dst := m.Empty(c, Config{Cap: 4, NumFields: 1, NumClasses: 4})
 		for i := 0; i < 3; i++ {
 			src.Arrive(c, pkt(b, int64(i), 1), b.True())
 		}
@@ -107,8 +107,8 @@ func TestMoveMoreThanBacklog(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		src := m.Empty(c, Config{Cap: 4})
-		dst := m.Empty(c, Config{Cap: 8})
+		src := m.Empty(c, Config{Cap: 4, NumFields: 1, NumClasses: 4})
+		dst := m.Empty(c, Config{Cap: 8, NumFields: 1, NumClasses: 4})
 		src.Arrive(c, pkt(b, 0, 1), b.True())
 		if err := src.MoveP(c, dst, b.IntConst(5), nil, b.True()); err != nil {
 			t.Fatal(err)
@@ -127,8 +127,8 @@ func TestMoveGuardFalse(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		src := m.Empty(c, Config{Cap: 4})
-		dst := m.Empty(c, Config{Cap: 4})
+		src := m.Empty(c, Config{Cap: 4, NumFields: 1, NumClasses: 4})
+		dst := m.Empty(c, Config{Cap: 4, NumFields: 1, NumClasses: 4})
 		src.Arrive(c, pkt(b, 0, 1), b.True())
 		if err := src.MoveP(c, dst, b.IntConst(1), nil, b.False()); err != nil {
 			t.Fatal(err)
@@ -146,8 +146,8 @@ func TestListFIFOOrder(t *testing.T) {
 	s := solver.New(solver.Options{})
 	c := testCtx(s)
 	b := s.Builder()
-	src := ListModel{}.Empty(c, Config{Cap: 4})
-	dst := ListModel{}.Empty(c, Config{Cap: 4})
+	src := ListModel{}.Empty(c, Config{Cap: 4, NumFields: 1})
+	dst := ListModel{}.Empty(c, Config{Cap: 4, NumFields: 1})
 	// Arrive flows 5, 6, 7; move 2; dst should hold [5, 6], src [7].
 	for _, fl := range []int64{5, 6, 7} {
 		src.Arrive(c, pkt(b, fl, 1), b.True())
@@ -176,7 +176,7 @@ func TestFilteredBacklog(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		st := m.Empty(c, Config{Cap: 6, NumClasses: 4})
+		st := m.Empty(c, Config{Cap: 6, NumFields: 1, NumClasses: 4})
 		for _, fl := range []int64{1, 2, 1, 1, 3} {
 			st.Arrive(c, pkt(b, fl, 1), b.True())
 		}
@@ -195,8 +195,8 @@ func TestFilteredMove(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		src := m.Empty(c, Config{Cap: 6, NumClasses: 4})
-		dst := m.Empty(c, Config{Cap: 6, NumClasses: 4})
+		src := m.Empty(c, Config{Cap: 6, NumFields: 1, NumClasses: 4})
+		dst := m.Empty(c, Config{Cap: 6, NumFields: 1, NumClasses: 4})
 		for _, fl := range []int64{1, 2, 1, 3} {
 			src.Arrive(c, pkt(b, fl, 1), b.True())
 		}
@@ -220,11 +220,11 @@ func TestCountModelRejectsFilters(t *testing.T) {
 	s := solver.New(solver.Options{})
 	c := testCtx(s)
 	b := s.Builder()
-	st := CountModel{}.Empty(c, Config{})
+	st := CountModel{}.Empty(c, Config{Cap: 8})
 	if _, err := st.FilterBacklogP(c, Filter{Field: 0, Value: b.IntConst(1)}); err == nil {
 		t.Error("count model should reject filters")
 	}
-	dst := CountModel{}.Empty(c, Config{})
+	dst := CountModel{}.Empty(c, Config{Cap: 8})
 	f := &Filter{Field: 0, Value: b.IntConst(1)}
 	if err := st.MoveP(c, dst, b.IntConst(1), f, b.True()); err == nil {
 		t.Error("count model should reject filtered moves")
@@ -235,8 +235,8 @@ func TestMoveBytes(t *testing.T) {
 	s := solver.New(solver.Options{})
 	c := testCtx(s)
 	b := s.Builder()
-	src := ListModel{}.Empty(c, Config{Cap: 4, MaxBytes: 10})
-	dst := ListModel{}.Empty(c, Config{Cap: 4, MaxBytes: 10})
+	src := ListModel{}.Empty(c, Config{Cap: 4, NumFields: 1, MaxBytes: 10})
+	dst := ListModel{}.Empty(c, Config{Cap: 4, NumFields: 1, MaxBytes: 10})
 	// Packets of sizes 3, 4, 2: move-b 7 should take exactly the first two.
 	src.Arrive(c, Packet{Fields: []*term.Term{b.IntConst(0)}, Bytes: b.IntConst(3)}, b.True())
 	src.Arrive(c, Packet{Fields: []*term.Term{b.IntConst(0)}, Bytes: b.IntConst(4)}, b.True())
@@ -261,8 +261,8 @@ func TestMoveBytesPrefixBlocked(t *testing.T) {
 	s := solver.New(solver.Options{})
 	c := testCtx(s)
 	b := s.Builder()
-	src := ListModel{}.Empty(c, Config{Cap: 4, MaxBytes: 10})
-	dst := ListModel{}.Empty(c, Config{Cap: 4, MaxBytes: 10})
+	src := ListModel{}.Empty(c, Config{Cap: 4, NumFields: 1, MaxBytes: 10})
+	dst := ListModel{}.Empty(c, Config{Cap: 4, NumFields: 1, MaxBytes: 10})
 	src.Arrive(c, Packet{Fields: []*term.Term{b.IntConst(0)}, Bytes: b.IntConst(5)}, b.True())
 	src.Arrive(c, Packet{Fields: []*term.Term{b.IntConst(0)}, Bytes: b.IntConst(1)}, b.True())
 	if err := src.MoveB(c, dst, b.IntConst(3), nil, b.True()); err != nil {
@@ -278,8 +278,8 @@ func TestFlushInto(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		src := m.Empty(c, Config{Cap: 4})
-		dst := m.Empty(c, Config{Cap: 8})
+		src := m.Empty(c, Config{Cap: 4, NumFields: 1, NumClasses: 4})
+		dst := m.Empty(c, Config{Cap: 8, NumFields: 1, NumClasses: 4})
 		for i := 0; i < 3; i++ {
 			src.Arrive(c, pkt(b, int64(i), 1), b.True())
 		}
@@ -300,7 +300,7 @@ func TestIteMerge(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		st := m.Empty(c, Config{Cap: 4})
+		st := m.Empty(c, Config{Cap: 4, NumFields: 1, NumClasses: 4})
 		thenSt := st.Clone()
 		thenSt.Arrive(c, pkt(b, 1, 1), b.True())
 		cond := b.Var(m.Name()+"_cond", term.Bool)
@@ -319,8 +319,8 @@ func TestSymbolicArrivalMove(t *testing.T) {
 	s := solver.New(solver.Options{})
 	c := testCtx(s)
 	b := s.Builder()
-	src := ListModel{}.Empty(c, Config{Cap: 4})
-	dst := ListModel{}.Empty(c, Config{Cap: 4})
+	src := ListModel{}.Empty(c, Config{Cap: 4, NumFields: 1})
+	dst := ListModel{}.Empty(c, Config{Cap: 4, NumFields: 1})
 	flow := b.Var("in_flow", term.Int)
 	s.Assert(b.Le(b.IntConst(0), flow))
 	s.Assert(b.Lt(flow, b.IntConst(4)))
@@ -343,13 +343,13 @@ func TestSlotsRoundTrip(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		st := m.Empty(c, Config{Cap: 3})
+		st := m.Empty(c, Config{Cap: 3, NumFields: 1, NumClasses: 4})
 		st.Arrive(c, pkt(b, 1, 2), b.True())
 		slots := st.Slots()
 		if len(slots) == 0 {
 			t.Fatalf("%s: no slots", m.Name())
 		}
-		fresh := m.Empty(c, Config{Cap: 3})
+		fresh := m.Empty(c, Config{Cap: 3, NumFields: 1, NumClasses: 4})
 		ts := make([]*term.Term, len(slots))
 		for i, sl := range slots {
 			ts[i] = sl.Term
@@ -366,7 +366,7 @@ func TestSelfMoveRejected(t *testing.T) {
 		s := solver.New(solver.Options{})
 		c := testCtx(s)
 		b := s.Builder()
-		st := m.Empty(c, Config{Cap: 4})
+		st := m.Empty(c, Config{Cap: 4, NumFields: 1, NumClasses: 4})
 		if err := st.MoveP(c, st, b.IntConst(1), nil, b.True()); err == nil {
 			t.Errorf("%s: self-move should be rejected", m.Name())
 		}

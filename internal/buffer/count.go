@@ -24,14 +24,12 @@ type countState struct {
 
 // Empty implements Model.
 func (CountModel) Empty(c *Ctx, cfg Config) State {
-	cfg = cfg.Normalize()
 	return &countState{cfg: cfg, n: c.B.IntConst(0), dropped: c.B.IntConst(0)}
 }
 
 // Symbolic implements Model: a fresh counter within [0, Cap] plus a
 // non-negative drop counter.
 func (CountModel) Symbolic(c *Ctx, cfg Config, prefix string) State {
-	cfg = cfg.Normalize()
 	b := c.B
 	n := b.Var(prefix+".n", term.Int)
 	c.Assume(b.Le(b.IntConst(0), n))

@@ -96,8 +96,8 @@ func TestListModelAgainstReference(t *testing.T) {
 		c := &Ctx{B: sv.Builder(), Assume: sv.Assert, Prefix: "fuzz"}
 		b := sv.Builder()
 		capA, capB := 2+rng.Intn(5), 2+rng.Intn(5)
-		symA := ListModel{}.Empty(c, Config{Cap: capA, MaxBytes: 4})
-		symB := ListModel{}.Empty(c, Config{Cap: capB, MaxBytes: 4})
+		symA := ListModel{}.Empty(c, Config{Cap: capA, NumFields: 1, MaxBytes: 4})
+		symB := ListModel{}.Empty(c, Config{Cap: capB, NumFields: 1, MaxBytes: 4})
 		refA := &refBuffer{cap: capA}
 		refB := &refBuffer{cap: capB}
 

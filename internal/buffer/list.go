@@ -26,7 +26,6 @@ type listState struct {
 
 // Empty implements Model.
 func (ListModel) Empty(c *Ctx, cfg Config) State {
-	cfg = cfg.Normalize()
 	s := &listState{cfg: cfg, dropped: c.B.IntConst(0)}
 	zero := c.B.IntConst(0)
 	for i := 0; i < cfg.Cap; i++ {
@@ -46,7 +45,6 @@ func (ListModel) Empty(c *Ctx, cfg Config) State {
 // valid slots, field values within the class bound, and a non-negative
 // drop counter.
 func (ListModel) Symbolic(c *Ctx, cfg Config, prefix string) State {
-	cfg = cfg.Normalize()
 	b := c.B
 	s := &listState{cfg: cfg}
 	for i := 0; i < cfg.Cap; i++ {

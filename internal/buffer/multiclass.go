@@ -26,7 +26,6 @@ type multiClassState struct {
 
 // Empty implements Model.
 func (MultiClassModel) Empty(c *Ctx, cfg Config) State {
-	cfg = cfg.Normalize()
 	s := &multiClassState{cfg: cfg, dropped: c.B.IntConst(0)}
 	for i := 0; i < cfg.NumClasses; i++ {
 		s.counts = append(s.counts, c.B.IntConst(0))
@@ -37,7 +36,6 @@ func (MultiClassModel) Empty(c *Ctx, cfg Config) State {
 // Symbolic implements Model: fresh non-negative per-class counters whose
 // total respects the capacity, plus a non-negative drop counter.
 func (MultiClassModel) Symbolic(c *Ctx, cfg Config, prefix string) State {
-	cfg = cfg.Normalize()
 	b := c.B
 	s := &multiClassState{cfg: cfg}
 	sum := b.IntConst(0)

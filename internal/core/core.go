@@ -108,10 +108,6 @@ type Analysis struct {
 	MaxPropagations int64
 	MaxLearntBytes  int64
 	Timeout         time.Duration
-	// Search configures the CDCL search heuristics (restart schedule,
-	// VSIDS decay, polarity, random branching). The zero value is the
-	// classic configuration. Portfolio runs override it per config.
-	Search sat.Options
 	// Portfolio races this many diversified solver configurations per
 	// verify/witness query, taking the first conclusive answer (see
 	// VerifyContext). 0 or 1 means a single solver.
@@ -157,7 +153,7 @@ func (a Analysis) solverOptions() solver.Options {
 	return solver.Options{
 		Width: a.Width, MaxConflicts: a.MaxConflicts,
 		MaxPropagations: a.MaxPropagations, MaxLearntBytes: a.MaxLearntBytes,
-		Timeout: a.Timeout, Search: a.Search, Progress: a.Progress,
+		Timeout: a.Timeout, Progress: a.Progress,
 	}
 }
 

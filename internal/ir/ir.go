@@ -132,9 +132,6 @@ type Compiled struct {
 	OutputNames []string
 }
 
-// AssumeAll returns the conjunction of all assumptions.
-func (c *Compiled) AssumeAll() *term.Term { return c.B.And(c.Assumes...) }
-
 // AssertHolds returns the term "every reached assert instance holds".
 func (c *Compiled) AssertHolds() *term.Term {
 	parts := make([]*term.Term, len(c.Asserts))

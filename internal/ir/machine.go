@@ -118,7 +118,7 @@ func NewMachine(info *typecheck.Info, b *term.Builder, opts Options) (*Machine, 
 
 	cfg := buffer.Config{
 		Cap:        m.opts.BufferCap,
-		NumFields:  len(info.Prog.Fields),
+		NumFields:  max(len(info.Prog.Fields), 1),
 		NumClasses: m.opts.NumClasses,
 		MaxBytes:   m.opts.MaxBytes,
 	}

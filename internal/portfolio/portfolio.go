@@ -43,8 +43,9 @@ type Options struct {
 	// Configs overrides the built-in config set.
 	Configs []Config
 	// Base is the analysis to run: program horizon and IR options, base
-	// solver options (each config's fork replaces Solver.Search with its
-	// own), and the query mode. Portfolio queries are Verify or Witness.
+	// solver options (each config's fork searches under its own
+	// sat.Options), and the query mode. Portfolio queries are Verify or
+	// Witness.
 	Base smtbe.Options
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,6 +235,10 @@ func TestValidation(t *testing.T) {
 			t.Errorf("case %d: invalid request accepted", i)
 		}
 	}
+	_, err := e.Submit(&Request{Kind: "frobnicate", Source: "x"})
+	if want := "(want verify | witness | synthesize | bound | sweep)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("unknown kind: err = %v, want it to list every kind %s", err, want)
+	}
 }
 
 func TestParseErrorFailsJob(t *testing.T) {
@@ -417,16 +422,10 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, Model: "count"},
 		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, Width: 14},
 		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, MaxConflicts: 10},
-		// Search heuristics and portfolio size change which result object
-		// (trace, effort counters, winner) comes back, so they must never
-		// alias to one cached result (satellite: cache-key correctness).
+		// Portfolio size changes which result object (trace, effort
+		// counters, winner) comes back, so it must never alias to one
+		// cached result.
 		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, Portfolio: 4},
-		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, RestartBase: 50},
-		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, GeomRestarts: true},
-		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, VarDecay: 0.9},
-		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, InitPhase: true},
-		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, RandSeed: 7},
-		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, RandSeed: 7, RandFreq: 0.05},
 		// A cross-checked bound carries the differential report in its
 		// result, so it must not alias with the plain bound's cache entry.
 		{Kind: KindWitness, Source: base.Source, T: 6, Params: base.Params, CrossCheck: true},

@@ -162,33 +162,57 @@ func NewHandler(e *Engine) http.Handler {
 	return mux
 }
 
+// decodeRequest reads a request body strictly: a field the Request does
+// not have is a 400, not silently ignored. On failure it writes the 400
+// and returns nil.
+func decodeRequest(w http.ResponseWriter, r *http.Request) *Request {
+	var req Request
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return nil
+	}
+	return &req
+}
+
+// accept decodes a request body, stamps the path's kind on it (the path
+// is authoritative) and submits it. It writes the response itself and
+// returns nil for a bad body or a rejected submit (400, or 503 with
+// Retry-After when shedding load) and for ?async=1 (202 with Location);
+// otherwise the caller answers for the returned job.
+func accept(e *Engine, w http.ResponseWriter, r *http.Request, kind Kind) *Job {
+	req := decodeRequest(w, r)
+	if req == nil {
+		return nil
+	}
+	req.Kind = kind
+
+	job, err := e.Submit(req)
+	switch {
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDeadlineUnmeetable), errors.Is(err, ErrClosed):
+		// Shed load with a data-driven hint: queue backlog divided
+		// across the pool, priced at recent solve latency.
+		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter()))
+		writeError(w, http.StatusServiceUnavailable, err)
+		return nil
+	case err != nil:
+		writeError(w, http.StatusBadRequest, err)
+		return nil
+	}
+
+	if async := r.URL.Query().Get("async"); async == "1" || async == "true" {
+		w.Header().Set("Location", "/v1/jobs/"+job.ID)
+		writeJSON(w, http.StatusAccepted, viewOf(job))
+		return nil
+	}
+	return job
+}
+
 func submitHandler(e *Engine, kind Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		req.Kind = kind // the path is authoritative
-
-		job, err := e.Submit(&req)
-		switch {
-		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDeadlineUnmeetable), errors.Is(err, ErrClosed):
-			// Shed load with a data-driven hint: queue backlog divided
-			// across the pool, priced at recent solve latency.
-			w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter()))
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-
-		if async := r.URL.Query().Get("async"); async == "1" || async == "true" {
-			w.Header().Set("Location", "/v1/jobs/"+job.ID)
-			writeJSON(w, http.StatusAccepted, viewOf(job))
+		job := accept(e, w, r, kind)
+		if job == nil {
 			return
 		}
 
@@ -222,29 +246,8 @@ type sweepLine struct {
 // result so the wire shape is identical either way.
 func sweepHandler(e *Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		req.Kind = KindSweep
-
-		job, err := e.Submit(&req)
-		switch {
-		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDeadlineUnmeetable), errors.Is(err, ErrClosed):
-			w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter()))
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-
-		if async := r.URL.Query().Get("async"); async == "1" || async == "true" {
-			w.Header().Set("Location", "/v1/jobs/"+job.ID)
-			writeJSON(w, http.StatusAccepted, viewOf(job))
+		job := accept(e, w, r, KindSweep)
+		if job == nil {
 			return
 		}
 

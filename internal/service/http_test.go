@@ -213,6 +213,26 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsSearchKnobs: CDCL search heuristics are the framework's
+// choice, not the request's, so a body naming one is a 400 on both the
+// job and the sweep path rather than a silently ignored field.
+func TestHTTPRejectsSearchKnobs(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	knobs := map[string]any{
+		"restart_base": 50, "geom_restarts": true, "var_decay": 0.9,
+		"init_phase": true, "rand_seed": 7, "rand_freq": 0.05,
+	}
+	for _, path := range []string{"/v1/witness", "/v1/sweep"} {
+		for knob, v := range knobs {
+			body := map[string]any{"source": quickProg, "t": 2, knob: v}
+			resp, out := postJSON(t, srv.URL+path, body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "unknown field") {
+				t.Errorf("%s with %s: %d %s, want 400 unknown field", path, knob, resp.StatusCode, out)
+			}
+		}
+	}
+}
+
 // TestHTTPClientAbandonCancelsSolve pins the tentpole guarantee: a client
 // that gives up on a synchronous request aborts its in-flight solve
 // instead of burning a worker.

@@ -17,7 +17,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"math"
 	"sort"
 	"time"
 
@@ -84,16 +83,6 @@ type Request struct {
 	// cancelling the losers (0 or 1 = single solver). Capped at
 	// MaxPortfolio; ignored for synthesize jobs.
 	Portfolio int `json:"portfolio,omitempty"`
-	// Search heuristics for single-config solves (portfolio runs use the
-	// built-in diversified set instead). Zero values are the defaults;
-	// every knob participates in the cache key — two requests with
-	// different search options never alias to one cached result.
-	RestartBase  int64   `json:"restart_base,omitempty"`
-	GeomRestarts bool    `json:"geom_restarts,omitempty"`
-	VarDecay     float64 `json:"var_decay,omitempty"`
-	InitPhase    bool    `json:"init_phase,omitempty"`
-	RandSeed     uint64  `json:"rand_seed,omitempty"`
-	RandFreq     float64 `json:"rand_freq,omitempty"`
 	// CrossCheck makes a bound job differentially validate its analytical
 	// bounds against the SMT backend at horizon T (kind == bound only): a
 	// reachable execution beyond the bound fails the job hard.
@@ -119,7 +108,7 @@ const MaxHorizon = 256
 // Validate rejects malformed requests before they reach the queue.
 func (r *Request) Validate() error {
 	if !r.Kind.valid() {
-		return fmt.Errorf("service: unknown kind %q (want verify | witness | synthesize | bound)", r.Kind)
+		return fmt.Errorf("service: unknown kind %q (want verify | witness | synthesize | bound | sweep)", r.Kind)
 	}
 	if r.Source == "" {
 		return fmt.Errorf("service: empty program source")
@@ -157,15 +146,6 @@ func (r *Request) Validate() error {
 	if r.Portfolio < 0 || r.Portfolio > MaxPortfolio {
 		return fmt.Errorf("service: portfolio %d out of range [0, %d]", r.Portfolio, MaxPortfolio)
 	}
-	if r.RestartBase < 0 {
-		return fmt.Errorf("service: negative restart_base")
-	}
-	if r.VarDecay < 0 || r.VarDecay > 1 {
-		return fmt.Errorf("service: var_decay %g out of range [0, 1]", r.VarDecay)
-	}
-	if r.RandFreq < 0 || r.RandFreq > 1 {
-		return fmt.Errorf("service: rand_freq %g out of range [0, 1]", r.RandFreq)
-	}
 	if r.MaxT < 0 || r.MaxT > MaxHorizon {
 		return fmt.Errorf("service: max_t %d out of range [0, %d]", r.MaxT, MaxHorizon)
 	}
@@ -183,18 +163,6 @@ func (r *Request) effMaxT() int {
 		return 8
 	}
 	return r.MaxT
-}
-
-// searchOptions maps the request's heuristic knobs to sat.Options.
-func (r *Request) searchOptions() sat.Options {
-	return sat.Options{
-		RestartBase:  r.RestartBase,
-		GeomRestarts: r.GeomRestarts,
-		VarDecay:     r.VarDecay,
-		InitPhase:    r.InitPhase,
-		RandSeed:     r.RandSeed,
-		RandFreq:     r.RandFreq,
-	}
 }
 
 func (r *Request) analysis() core.Analysis {
@@ -217,7 +185,6 @@ func (r *Request) analysis() core.Analysis {
 		MaxPropagations: r.MaxPropagations,
 		MaxLearntBytes:  r.MaxLearntBytes,
 		Timeout:         time.Duration(r.TimeoutMS) * time.Millisecond,
-		Search:          r.searchOptions(),
 		Portfolio:       r.Portfolio,
 		CrossCheck:      r.CrossCheck,
 	}
@@ -225,13 +192,12 @@ func (r *Request) analysis() core.Analysis {
 
 // CacheKey returns the content address of the request: a hash over the
 // program source, buffer model, horizon, query kind, compile-time
-// parameters, solver options and search heuristics. Two requests with
-// equal keys are guaranteed to produce the same analysis answer, so the
-// engine serves repeats straight from cache without re-solving. The
-// heuristic knobs and portfolio size cannot change a *correct* answer,
-// but they do change which result object (trace, effort counters,
-// winning config) comes back — so they participate in the key and
-// differently-configured requests never alias.
+// parameters and solver budgets. Two requests with equal keys are
+// guaranteed to produce the same analysis answer, so the engine serves
+// repeats straight from cache without re-solving. The portfolio size
+// cannot change a *correct* answer, but it does change which result
+// object (trace, effort counters, winning config) comes back — so it
+// participates in the key and differently-raced requests never alias.
 func (r *Request) CacheKey() string {
 	h := newKeyHasher()
 	h.field(string(r.Kind))
@@ -247,8 +213,8 @@ func (r *Request) CacheKey() string {
 // SessionKey is the content address of the warm-session fingerprint: a
 // hash over everything that determines the session's encoding and solver
 // behavior — program source, buffer model, compile-time parameters,
-// capacity heuristics, bit width, per-call solver budgets and search
-// heuristics, and the session capacity (effMaxT). Deliberately absent:
+// capacity heuristics, bit width, per-call solver budgets, and the
+// session capacity (effMaxT). Deliberately absent:
 // the query direction and per-request horizon (those are retractable
 // assumptions on one shared encoding — the whole point of a session) and
 // the wall-clock timeout (a context property, not a solver one). Two
@@ -278,12 +244,6 @@ func (r *Request) writeSolverFields(h *keyHasher) {
 	h.int(r.MaxConflicts)
 	h.int(r.MaxPropagations)
 	h.int(r.MaxLearntBytes)
-	h.int(r.RestartBase)
-	h.bool(r.GeomRestarts)
-	h.float(r.VarDecay)
-	h.bool(r.InitPhase)
-	h.uint(r.RandSeed)
-	h.float(r.RandFreq)
 	names := make([]string, 0, len(r.Params))
 	for name := range r.Params {
 		names = append(names, name)
@@ -308,15 +268,11 @@ func (k *keyHasher) field(s string) {
 	k.h.Write([]byte(s))
 }
 
-func (k *keyHasher) int(v int64) { k.uint(uint64(v)) }
-
-func (k *keyHasher) uint(v uint64) {
+func (k *keyHasher) int(v int64) {
 	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], v)
+	binary.LittleEndian.PutUint64(n[:], uint64(v))
 	k.h.Write(n[:])
 }
-
-func (k *keyHasher) float(v float64) { k.uint(math.Float64bits(v)) }
 
 func (k *keyHasher) bool(v bool) {
 	if v {

@@ -115,7 +115,6 @@ func TestConcurrentSweepsShareSession(t *testing.T) {
 		if i%2 == 1 {
 			req.SweepMode = "verify"
 		}
-		req.RandSeed = 0 // identical solver knobs across all clients
 		wg.Add(1)
 		go func(i int, req *Request) {
 			defer wg.Done()
@@ -184,11 +183,12 @@ func TestSweepEvictionStorm(t *testing.T) {
 	var wg sync.WaitGroup
 	for round := 0; round < 2; round++ {
 		for i, req := range reqs {
-			// Distinct RandSeed per round: new fingerprints, fresh builds,
-			// more eviction pressure (round 0 reuses are cache hits anyway).
+			// A distinct, never-reached conflict budget per round: new
+			// fingerprints, fresh builds, more eviction pressure, same
+			// answers.
 			r := *req
 			r.Params = req.Params
-			r.RandSeed = uint64(round * 100)
+			r.MaxConflicts = 1<<40 + int64(round)
 			wg.Add(1)
 			go func(i int, r *Request) {
 				defer wg.Done()
@@ -259,12 +259,6 @@ func TestSessionKeyDiscriminates(t *testing.T) {
 		"max_conflicts":    func(r *Request) { r.MaxConflicts = 100 },
 		"max_propagations": func(r *Request) { r.MaxPropagations = 1000 },
 		"max_learnt_bytes": func(r *Request) { r.MaxLearntBytes = 1 << 20 },
-		"restart_base":     func(r *Request) { r.RestartBase = 50 },
-		"geom_restarts":    func(r *Request) { r.GeomRestarts = true },
-		"var_decay":        func(r *Request) { r.VarDecay = 0.9 },
-		"init_phase":       func(r *Request) { r.InitPhase = true },
-		"rand_seed":        func(r *Request) { r.RandSeed = 7 },
-		"rand_freq":        func(r *Request) { r.RandFreq = 0.05 },
 		"max_t":            func(r *Request) { r.MaxT = 9 },
 	}
 	seen := map[string]string{baseKey: "base"}

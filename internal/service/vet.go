@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -36,11 +35,8 @@ type VetResponse struct {
 // engine is only consulted for metrics and drain state.
 func vetHandler(e *Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		req := decodeRequest(w, r)
+		if req == nil {
 			return
 		}
 		if req.Source == "" {

@@ -56,11 +56,6 @@ type Options struct {
 	MaxLearntBytes int64
 	// Timeout bounds each Check's wall time; zero means unlimited.
 	Timeout time.Duration
-	// Search configures the CDCL heuristics (restart schedule, VSIDS
-	// decay, polarity, random branching, learnt-DB limits). The zero
-	// value is the classic configuration; the portfolio layer races
-	// diversified Search settings against each other.
-	Search sat.Options
 	// Progress, when non-nil, receives live search-effort counters from
 	// every Check. The service attaches one per job so in-flight solves
 	// can be polled; forks inherit it, so a portfolio race aggregates all
@@ -91,7 +86,7 @@ func New(opts Options) *Solver {
 		opts.Width = bitblast.DefaultWidth
 	}
 	s := &Solver{b: term.NewBuilder(), opts: opts}
-	s.sat = sat.NewWithOptions(opts.Search)
+	s.sat = sat.New()
 	s.bl = bitblast.New(opts.Width, s.sat)
 	return s
 }
@@ -110,9 +105,7 @@ func (s *Solver) Builder() *term.Builder { return s.b }
 // concurrent forks must serialize SnapshotModel and model reads (see
 // CheckContextNoModel).
 func (s *Solver) Fork(search sat.Options) *Solver {
-	opts := s.opts
-	opts.Search = search
-	f := &Solver{b: s.b, opts: opts, asserted: s.asserted, unsat: s.unsat}
+	f := &Solver{b: s.b, opts: s.opts, asserted: s.asserted, unsat: s.unsat}
 	f.sat = s.sat.CloneProblem(search)
 	f.bl = s.bl.Fork(f.sat)
 	return f

@@ -134,11 +134,10 @@ type Attr struct {
 	Value any
 }
 
-// String / Int / Bool / Float build typed attributes.
-func String(k, v string) Attr        { return Attr{k, v} }
-func Int(k string, v int64) Attr     { return Attr{k, v} }
-func Bool(k string, v bool) Attr     { return Attr{k, v} }
-func Float(k string, v float64) Attr { return Attr{k, v} }
+// String / Int / Bool build typed attributes.
+func String(k, v string) Attr    { return Attr{k, v} }
+func Int(k string, v int64) Attr { return Attr{k, v} }
+func Bool(k string, v bool) Attr { return Attr{k, v} }
 
 // SetAttrs appends attributes to the span. Setting attributes on an
 // already-ended span is allowed (the portfolio annotates the winner after
