@@ -84,9 +84,6 @@ type Info struct {
 	// Symbols resolves every identifier use.
 	Symbols map[*ast.Ident]*Symbol
 
-	// Types records the type of every expression.
-	Types map[ast.Expr]ExprType
-
 	// Globals, Locals and Monitors list the declared variables by class.
 	Globals  []*ast.VarDecl
 	Locals   []*ast.VarDecl
@@ -131,7 +128,6 @@ func CheckAll(prog *ast.Program) (*Info, ErrorList) {
 		info: &Info{
 			Prog:       prog,
 			Symbols:    make(map[*ast.Ident]*Symbol),
-			Types:      make(map[ast.Expr]ExprType),
 			FieldIndex: make(map[string]int),
 		},
 		vars:   make(map[string]*Symbol),
@@ -281,7 +277,6 @@ func (c *checker) checkConstExpr(e ast.Expr) {
 func (c *checker) resolveConstIdent(id *ast.Ident) {
 	if id.Name == "T" || id.Name == "t" {
 		c.info.Symbols[id] = &Symbol{Kind: SymBuiltin, Name: id.Name}
-		c.info.Types[id] = ExprType{Kind: ast.TInt}
 		return
 	}
 	if _, isVar := c.vars[id.Name]; isVar {
@@ -292,12 +287,10 @@ func (c *checker) resolveConstIdent(id *ast.Ident) {
 		// Loop variables are unrolled to constants, so they are permitted
 		// in nested bounds.
 		c.info.Symbols[id] = c.loops[id.Name]
-		c.info.Types[id] = ExprType{Kind: ast.TInt}
 		return
 	}
 	c.params[id.Name] = true
 	c.info.Symbols[id] = &Symbol{Kind: SymParam, Name: id.Name}
-	c.info.Types[id] = ExprType{Kind: ast.TInt}
 }
 
 // checkStmts checks a statement list. ghost is true inside monitor-update
@@ -414,7 +407,6 @@ func (c *checker) checkAssign(n *ast.Assign) {
 		c.errorf(n.LHS.Pos(), "invalid assignment target")
 		return
 	}
-	c.info.Types[n.LHS] = ExprType{Kind: targetSym.Type.Kind}
 
 	ghostTarget := targetSym.Decl != nil && targetSym.Decl.Storage == ast.Monitor
 
@@ -430,7 +422,6 @@ func (c *checker) checkAssign(n *ast.Assign) {
 		if ghostTarget {
 			c.errorf(n.LHS.Pos(), "pop_front mutates program state; monitors are ghost code")
 		}
-		c.info.Types[n.RHS] = ExprType{Kind: ast.TInt}
 		return
 	}
 	rt := c.checkExpr(n.RHS, ghostTarget)
@@ -471,16 +462,10 @@ func (c *checker) checkBufferExpr(e ast.Expr, what string) bool {
 	return true
 }
 
-// checkExpr computes and records the type of e. ghost reports whether the
+// checkExpr checks e and returns its type. ghost reports whether the
 // expression occurs in ghost context (assert/assume conditions or monitor
 // updates), where reading monitors is allowed.
 func (c *checker) checkExpr(e ast.Expr, ghost bool) ExprType {
-	t := c.exprType(e, ghost)
-	c.info.Types[e] = t
-	return t
-}
-
-func (c *checker) exprType(e ast.Expr, ghost bool) ExprType {
 	switch n := e.(type) {
 	case *ast.IntLit:
 		return ExprType{Kind: ast.TInt}

@@ -5,6 +5,14 @@
 // bottom of Buffy's solver stack; the bit-blasting layer reduces bounded
 // integer formulas to the CNF this package solves.
 //
+// Clauses live in one pointer-free arena, a single []cnf.Lit: each clause
+// is a three-word header (size; LBD and flags; activity bits) followed by
+// its literals inline, and is named by the uint32 offset of its header (a
+// cref). The problem and learnt lists, variable reasons and the 8-byte
+// watchers all hold crefs, so the garbage collector never scans the clause
+// database, and assignments are kept per literal so a literal's value is
+// one load. Learnt-DB reduction compacts the arena in place.
+//
 // The search heuristics — restart schedule, VSIDS decay, decision
 // polarity, randomized branching, learnt-DB limits — are configurable
 // through Options (see NewWithOptions); the zero value reproduces the
@@ -14,8 +22,11 @@
 package sat
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"time"
 
 	"buffy/internal/smt/cnf"
@@ -57,22 +68,30 @@ const (
 	lFalse
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
+// cref names a clause by the arena offset of its header.
+type cref uint32
 
-type clause struct {
-	lits   []cnf.Lit
-	lbd    uint32
-	act    float32
-	learnt bool
-}
+// crefUndef is the reason of a decision, an assumption, a unit fact or an
+// unassigned variable, and propagate's "no conflict".
+const crefUndef cref = math.MaxUint32
+
+// Clause header layout: arena[c+hdrSize] is the literal count,
+// arena[c+hdrMeta] the LBD shifted left by lbdShift over the flag bits,
+// arena[c+hdrAct] the activity's float32 bits; the literals follow at
+// arena[c+hdrWords:].
+const (
+	hdrSize  = 0
+	hdrMeta  = 1
+	hdrAct   = 2
+	hdrWords = 3
+
+	flagLearnt  = 1 << 0
+	flagDeleted = 1 << 1 // set by reduceDB, dropped by compact
+	lbdShift    = 2
+)
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker cnf.Lit
 }
 
@@ -206,15 +225,16 @@ func (l Limits) cancelled() bool {
 // then call Solve. A Solver may be re-solved after adding more clauses
 // (incremental use); learnt clauses are retained.
 type Solver struct {
-	clauses []*clause // problem clauses
-	learnts []*clause
+	arena   []cnf.Lit // every clause: header, then literals
+	clauses []cref    // problem clauses, in arena order
+	learnts []cref    // learnt clauses, in arena order
 
 	watches [][]watcher // indexed by lit
 
-	assign   []lbool // indexed by var
+	vals     []lbool // indexed by lit
 	level    []int32 // indexed by var
-	reason   []*clause
-	phase    []bool // saved phase, indexed by var
+	reason   []cref  // indexed by var
+	phase    []bool  // saved phase, indexed by var
 	activity []float64
 	varInc   float64
 
@@ -245,9 +265,19 @@ type Solver struct {
 	// propagation fixpoint; used by fuzz-style tests.
 	debug bool
 
-	seen    []bool // analyze scratch
-	minStk  []cnf.Lit
-	clearBf []cnf.Var
+	seen     []bool // analyze scratch
+	minStk   []cnf.Lit
+	clearBf  []cnf.Var
+	learntBf []cnf.Lit // analyze's result, valid until the next conflict
+	origBf   []cnf.Lit
+	reduceBf []cref // reduceDB's removal order
+
+	// litMark (by lit) and levelMark (by decision level) dedupe in
+	// AddClause and computeLBD: an entry equal to the current stamp is
+	// marked, so starting a new pass is one increment, not a clear.
+	stamp     uint32
+	litMark   []uint32
+	levelMark []uint32
 
 	claInc float32
 }
@@ -280,10 +310,9 @@ func (s *Solver) NewVar() cnf.Var {
 
 func (s *Solver) ensureVar(v cnf.Var) {
 	need := int(v) + 1
-	for len(s.assign) < need {
-		s.assign = append(s.assign, lUndef)
+	for len(s.level) < need {
 		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
+		s.reason = append(s.reason, crefUndef)
 		s.phase = append(s.phase, s.opts.InitPhase)
 		s.activity = append(s.activity, 0)
 		s.heapPos = append(s.heapPos, -1)
@@ -291,6 +320,8 @@ func (s *Solver) ensureVar(v cnf.Var) {
 	}
 	for len(s.watches) < 2*need {
 		s.watches = append(s.watches, nil)
+		s.vals = append(s.vals, lUndef)
+		s.litMark = append(s.litMark, 0)
 	}
 }
 
@@ -325,7 +356,7 @@ func (s *Solver) CloneProblem(opts Options) *Solver {
 		}
 	}
 	for _, c := range s.clauses {
-		if !n.AddClause(c.lits...) {
+		if !n.AddClause(s.lits(c)...) {
 			return n
 		}
 	}
@@ -343,18 +374,40 @@ func (s *Solver) LoadFormula(f *cnf.Formula) bool {
 	return true
 }
 
-func (s *Solver) litValue(l cnf.Lit) lbool {
-	v := s.assign[l.Var()]
-	if v == lUndef {
-		return lUndef
+func (s *Solver) litValue(l cnf.Lit) lbool { return s.vals[l] }
+
+// lits returns clause c's literals, aliasing the arena.
+func (s *Solver) lits(c cref) []cnf.Lit {
+	i := int(c) + hdrWords
+	return s.arena[i : i+int(s.arena[int(c)+hdrSize])]
+}
+
+func (s *Solver) lbd(c cref) uint32 { return uint32(s.arena[c+hdrMeta]) >> lbdShift }
+
+func (s *Solver) act(c cref) float32 {
+	return math.Float32frombits(uint32(s.arena[c+hdrAct]))
+}
+
+func (s *Solver) setAct(c cref, a float32) { s.arena[c+hdrAct] = cnf.Lit(math.Float32bits(a)) }
+
+// nextCref returns the cref the next clause appended to the arena gets.
+func (s *Solver) nextCref() cref {
+	if len(s.arena) >= int(crefUndef) {
+		panic("sat: clause arena outgrew 32-bit clause references")
 	}
-	if l.Sign() {
-		if v == lTrue {
-			return lFalse
-		}
-		return lTrue
+	return cref(len(s.arena))
+}
+
+// nextStamp starts a new litMark/levelMark pass. When the counter wraps,
+// both arrays are cleared so no stale entry can equal the new stamp.
+func (s *Solver) nextStamp() uint32 {
+	s.stamp++
+	if s.stamp == 0 {
+		clear(s.litMark)
+		clear(s.levelMark)
+		s.stamp = 1
 	}
-	return v
+	return s.stamp
 }
 
 // AddClause adds a problem clause. It returns false if the clause set is now
@@ -367,88 +420,112 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	// A previous Sat result leaves the model on the trail at a positive
 	// decision level; new clauses are always added at level 0.
 	s.backtrackTo(0)
-	// Simplify: drop false lits, detect satisfied/tautological clauses.
-	out := make([]cnf.Lit, 0, len(lits))
-	seen := make(map[cnf.Lit]struct{}, len(lits))
+	// Simplify straight into the arena: drop false and duplicate lits,
+	// and give the header back if the clause is satisfied or tautological.
+	mark := s.nextStamp()
+	c := s.nextCref()
+	s.arena = append(s.arena, 0, 0, 0)
 	for _, l := range lits {
 		if int(l.Var()) > s.numVars {
 			s.ImportVars(int(l.Var()))
 		}
 		switch s.litValue(l) {
 		case lTrue:
-			return true // already satisfied
+			s.arena = s.arena[:c] // already satisfied
+			return true
 		case lFalse:
 			continue
 		}
-		if _, dup := seen[l]; dup {
+		if s.litMark[l] == mark {
 			continue
 		}
-		if _, taut := seen[l.Neg()]; taut {
+		if s.litMark[l.Neg()] == mark {
+			s.arena = s.arena[:c]
 			return true
 		}
-		seen[l] = struct{}{}
-		out = append(out, l)
+		s.litMark[l] = mark
+		s.arena = append(s.arena, l)
 	}
-	switch len(out) {
+	switch n := len(s.arena) - int(c) - hdrWords; n {
 	case 0:
+		s.arena = s.arena[:c]
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		unit := s.arena[int(c)+hdrWords]
+		s.arena = s.arena[:c]
+		s.uncheckedEnqueue(unit, crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
+	default:
+		s.arena[int(c)+hdrSize] = cnf.Lit(n)
 	}
-	c := &clause{lits: out}
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
+// addLearnt appends a learnt clause to the arena and watches its first
+// two literals.
+func (s *Solver) addLearnt(lits []cnf.Lit, lbd uint32) cref {
+	c := s.nextCref()
+	s.arena = append(s.arena, cnf.Lit(len(lits)), cnf.Lit(lbd<<lbdShift|flagLearnt), 0)
+	s.arena = append(s.arena, lits...)
+	s.learnts = append(s.learnts, c)
+	s.stats.Learnt++
+	s.learntBytes += clauseBytes(len(lits))
+	s.attach(c)
+	return c
+}
+
+func (s *Solver) attach(c cref) {
+	l0, l1 := s.arena[int(c)+hdrWords], s.arena[int(c)+hdrWords+1]
 	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{c, l1})
 	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{c, l0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l cnf.Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l cnf.Lit, from cref) {
 	v := l.Var()
-	s.assign[v] = boolToLbool(!l.Sign())
+	s.vals[l] = lTrue
+	s.vals[l.Neg()] = lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; returns a conflicting clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; returns a conflicting clause or
+// crefUndef.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
+		falseLit := p.Neg()
 		ws := s.watches[p]
 		i, j := 0, 0
-		var confl *clause
+		confl := crefUndef
 		for i < len(ws) {
 			w := ws[i]
 			// Quick check: blocker already true?
-			if s.litValue(w.blocker) == lTrue {
+			if s.vals[w.blocker] == lTrue {
 				ws[j] = w
 				i++
 				j++
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Make sure the false literal is lits[1].
-			falseLit := p.Neg()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.litValue(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && s.vals[first] == lTrue {
 				ws[j] = watcher{c, first}
 				i++
 				j++
@@ -456,10 +533,10 @@ func (s *Solver) propagate() *clause {
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nl := c.lits[1]
+			for k := 2; k < len(lits); k++ {
+				if s.vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nl := lits[1]
 					s.watches[nl.Neg()] = append(s.watches[nl.Neg()], watcher{c, first})
 					found = true
 					break
@@ -473,7 +550,7 @@ func (s *Solver) propagate() *clause {
 			ws[j] = watcher{c, first}
 			i++
 			j++
-			if s.litValue(first) == lFalse {
+			if s.vals[first] == lFalse {
 				confl = c
 				s.qhead = len(s.trail)
 				// copy the remaining watchers
@@ -487,11 +564,11 @@ func (s *Solver) propagate() *clause {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = ws[:j]
-		if confl != nil {
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 // --- VSIDS heap ---
@@ -572,11 +649,12 @@ func (s *Solver) bumpVar(v cnf.Var) {
 
 func (s *Solver) decayVar() { s.varInc /= s.opts.VarDecay }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.setAct(lc, s.act(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -584,17 +662,19 @@ func (s *Solver) bumpClause(c *clause) {
 
 func (s *Solver) decayClause() { s.claInc /= float32(s.opts.ClauseDecay) }
 
-// clauseBytes estimates a learnt clause's heap footprint: the clause
-// struct + slice header plus 4 bytes per literal, rounded up for the two
-// watcher entries referencing it.
-func clauseBytes(c *clause) int64 { return 64 + 4*int64(len(c.lits)) }
+// clauseBytes estimates the footprint of a learnt clause of n literals:
+// a fixed 64 bytes of overhead plus 4 bytes per literal. It is an
+// estimate, not the arena's exact cost, and stays fixed so MaxLearntBytes
+// budgets and session footprints keep their meaning.
+func clauseBytes(n int) int64 { return 64 + 4*int64(n) }
 
 // --- conflict analysis ---
 
 // analyze performs first-UIP learning. It returns the learnt clause (with
-// the asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
-	learnt := []cnf.Lit{cnf.LitUndef} // reserve slot 0 for the asserting literal
+// the asserting literal first; a scratch slice valid until the next call)
+// and the backtrack level.
+func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
+	learnt := append(s.learntBf[:0], cnf.LitUndef) // reserve slot 0 for the asserting literal
 	counter := 0
 	idx := len(s.trail) - 1
 	var p cnf.Lit = cnf.LitUndef
@@ -606,7 +686,7 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 		if p != cnf.LitUndef {
 			start = 1 // skip the asserting literal of the reason
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(c)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -633,9 +713,9 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 			break
 		}
 		c = s.reason[v]
-		if c == nil {
+		if c == crefUndef {
 			s.dumpState(p, counter)
-			panic("nil reason in analyze")
+			panic("missing reason in analyze")
 		}
 	}
 
@@ -646,11 +726,12 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 	for _, l := range learnt {
 		s.seen[l.Var()] = true
 	}
-	orig := append([]cnf.Lit(nil), learnt...)
+	orig := append(s.origBf[:0], learnt...)
+	s.origBf = orig
 	// Clause minimization: drop literals implied by the rest.
 	out := learnt[:1]
 	for _, l := range learnt[1:] {
-		if s.reason[l.Var()] == nil || !s.litRedundant(l) {
+		if s.reason[l.Var()] == crefUndef || !s.litRedundant(l) {
 			out = append(out, l)
 		}
 	}
@@ -677,6 +758,7 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int) {
 		s.seen[v] = false
 	}
 	s.clearBf = s.clearBf[:0]
+	s.learntBf = learnt
 	return learnt, btLevel
 }
 
@@ -691,7 +773,7 @@ func (s *Solver) litRedundant(l cnf.Lit) bool {
 		p := s.minStk[len(s.minStk)-1]
 		s.minStk = s.minStk[:len(s.minStk)-1]
 		c := s.reason[p.Var()]
-		if c == nil {
+		if c == crefUndef {
 			// Reached a decision: not redundant, undo marks.
 			for _, v := range s.clearBf[top:] {
 				s.seen[v] = false
@@ -699,12 +781,12 @@ func (s *Solver) litRedundant(l cnf.Lit) bool {
 			s.clearBf = s.clearBf[:top]
 			return false
 		}
-		for _, q := range c.lits[1:] {
+		for _, q := range s.lits(c)[1:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
 			}
-			if s.reason[v] == nil {
+			if s.reason[v] == crefUndef {
 				for _, u := range s.clearBf[top:] {
 					s.seen[u] = false
 				}
@@ -719,12 +801,23 @@ func (s *Solver) litRedundant(l cnf.Lit) bool {
 	return true
 }
 
+// computeLBD counts the distinct decision levels among lits. It runs after
+// the backjump, so the asserting literal's level may exceed the current
+// decision level.
 func (s *Solver) computeLBD(lits []cnf.Lit) uint32 {
-	levels := make(map[int32]struct{}, len(lits))
+	mark := s.nextStamp()
+	n := uint32(0)
 	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+		lv := int(s.level[l.Var()])
+		if lv >= len(s.levelMark) {
+			s.levelMark = append(s.levelMark, make([]uint32, lv+1-len(s.levelMark))...)
+		}
+		if s.levelMark[lv] != mark {
+			s.levelMark[lv] = mark
+			n++
+		}
 	}
-	return uint32(len(levels))
+	return n
 }
 
 func (s *Solver) backtrackTo(level int) {
@@ -735,9 +828,10 @@ func (s *Solver) backtrackTo(level int) {
 	for i := len(s.trail) - 1; i >= int(lim); i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.assign[v] = lUndef
+		s.vals[l] = lUndef
+		s.vals[l.Neg()] = lUndef
 		s.phase[v] = !l.Sign()
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.heapInsert(v)
 	}
 	s.trail = s.trail[:lim]
@@ -796,7 +890,7 @@ func (s *Solver) randChance() bool {
 func (s *Solver) randomUnassigned() cnf.Var {
 	for try := 0; try < 8 && len(s.heap) > 0; try++ {
 		v := s.heap[s.nextRand()%uint64(len(s.heap))]
-		if s.assign[v] == lUndef {
+		if s.litValue(cnf.PosLit(v)) == lUndef {
 			return v
 		}
 	}
@@ -804,49 +898,39 @@ func (s *Solver) randomUnassigned() cnf.Var {
 }
 
 func (s *Solver) reduceDB() {
-	// Sort learnts: keep low-LBD and active clauses. Simple selection:
-	// remove half with highest LBD (ties by activity), never LBD<=2 or
-	// clauses currently used as reasons.
+	// Remove the half of the learnts with the highest LBD (ties: lowest
+	// activity), never LBD<=2 or clauses currently used as reasons.
 	if len(s.learnts) < 2 {
 		return
 	}
-	ls := make([]*clause, len(s.learnts))
-	copy(ls, s.learnts)
-	// insertion sort by (lbd desc, act asc)
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ls[j-1], ls[j]
-			if a.lbd > b.lbd || (a.lbd == b.lbd && a.act < b.act) {
-				break
-			}
-			ls[j-1], ls[j] = b, a
+	// Removal order: LBD descending, then activity ascending, then the
+	// later clause first. The last key makes the order total, so it is
+	// exactly the order the former insertion sort produced, ties included.
+	ls := append(s.reduceBf[:0], s.learnts...)
+	s.reduceBf = ls
+	slices.SortFunc(ls, func(a, b cref) int {
+		if la, lb := s.lbd(a), s.lbd(b); la != lb {
+			return cmp.Compare(lb, la)
 		}
-	}
-	locked := make(map[*clause]bool)
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nil {
-			locked[r] = true
+		if aa, ab := s.act(a), s.act(b); aa != ab {
+			return cmp.Compare(aa, ab)
 		}
-	}
-	removed := make(map[*clause]bool)
+		return cmp.Compare(b, a)
+	})
+	removed := false
 	for _, c := range ls[:len(ls)/2] {
-		if c.lbd <= 2 || locked[c] {
+		if s.lbd(c) <= 2 || s.locked(c) {
 			continue
 		}
-		removed[c] = true
+		s.arena[c+hdrMeta] |= flagDeleted
+		removed = true
 		s.stats.Removed++
-		s.learntBytes -= clauseBytes(c)
+		s.learntBytes -= clauseBytes(len(s.lits(c)))
 	}
-	if len(removed) == 0 {
+	if !removed {
 		return
 	}
-	keep := s.learnts[:0]
-	for _, c := range s.learnts {
-		if !removed[c] {
-			keep = append(keep, c)
-		}
-	}
-	s.learnts = keep
+	s.compact()
 	// Rebuild watches (simplest correct approach).
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
@@ -857,6 +941,44 @@ func (s *Solver) reduceDB() {
 	for _, c := range s.learnts {
 		s.attach(c)
 	}
+}
+
+// locked reports whether c is the reason of an assigned variable. A
+// reason clause's implied literal stays at lits[0] while it is assigned
+// (propagate only swaps a false lits[0] away), so only that variable's
+// reason needs checking.
+func (s *Solver) locked(c cref) bool {
+	return s.reason[s.arena[int(c)+hdrWords].Var()] == c
+}
+
+// compact slides the live clauses down over the deleted ones, keeping
+// arena order, and rewrites every cref naming a moved clause: the problem
+// and learnt lists, and the reason of the variable a locked clause
+// implies (its first literal, see locked).
+func (s *Solver) compact() {
+	dst, ci := 0, 0
+	learnts := s.learnts[:0]
+	for src := 0; src < len(s.arena); {
+		n := hdrWords + int(s.arena[src+hdrSize])
+		meta := s.arena[src+hdrMeta]
+		if meta&flagDeleted == 0 {
+			from, to := cref(src), cref(dst)
+			copy(s.arena[dst:], s.arena[src:src+n])
+			if meta&flagLearnt != 0 {
+				learnts = append(learnts, to)
+			} else {
+				s.clauses[ci] = to
+				ci++
+			}
+			if r := &s.reason[s.arena[dst+hdrWords].Var()]; *r == from {
+				*r = to
+			}
+			dst += n
+		}
+		src += n
+	}
+	s.arena = s.arena[:dst]
+	s.learnts = learnts
 }
 
 // --- main search ---
@@ -930,11 +1052,11 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 	s.backtrackTo(0)
 	// (Re)fill the heap with all unassigned vars.
 	for v := cnf.Var(1); int(v) <= s.numVars; v++ {
-		if s.assign[v] == lUndef {
+		if s.litValue(cnf.PosLit(v)) == lUndef {
 			s.heapInsert(v)
 		}
 	}
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.ok = false
 		return Unsat
 	}
@@ -966,10 +1088,10 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 
 	for {
 		confl := s.propagate()
-		if confl == nil && s.debug {
+		if confl == crefUndef && s.debug {
 			s.checkInvariants("afterprop")
 		}
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			// Conflict storms bypass the decision-path budget check below,
 			// so run the full budget/cancel check here too (same 64-step
@@ -1006,19 +1128,16 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 				if s.decisionLevel() > 0 {
 					s.backtrackTo(0)
 				}
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: s.computeLBD(learnt)}
-				if b := int(c.lbd) - 1; b >= 0 {
+				lbd := s.computeLBD(learnt)
+				if b := int(lbd) - 1; b >= 0 {
 					if b > lbdOverflowBucket {
 						b = lbdOverflowBucket
 					}
 					s.lbdHist[b]++
 				}
-				s.learnts = append(s.learnts, c)
-				s.stats.Learnt++
-				s.learntBytes += clauseBytes(c)
-				s.attach(c)
+				c := s.addLearnt(learnt, lbd)
 				s.bumpClause(c)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
@@ -1104,7 +1223,7 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 			if next == cnf.LitUndef {
 				for len(s.heap) > 0 {
 					v := s.heapPop()
-					if s.assign[v] == lUndef {
+					if s.litValue(cnf.PosLit(v)) == lUndef {
 						next = cnf.MkLit(v, !s.phase[v])
 						break
 					}
@@ -1116,12 +1235,12 @@ func (s *Solver) SolveLimited(lim Limits, assumptions ...cnf.Lit) Status {
 			s.stats.Decisions++
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 
 // Value returns the model value of v after a Sat result.
-func (s *Solver) Value(v cnf.Var) bool { return s.assign[v] == lTrue }
+func (s *Solver) Value(v cnf.Var) bool { return s.litValue(cnf.PosLit(v)) == lTrue }
 
 // LitTrue reports whether literal l is true in the model.
 func (s *Solver) LitTrue(l cnf.Lit) bool { return s.litValue(l) == lTrue }
@@ -1156,34 +1275,41 @@ func (s *Solver) dumpState(p cnf.Lit, counter int) {
 		p, p.Var(), s.level[p.Var()], s.decisionLevel(), counter, len(s.trail))
 	for i := len(s.trail) - 1; i >= 0 && i > len(s.trail)-30; i-- {
 		l := s.trail[i]
-		fmt.Fprintf(os.Stderr, "  trail[%d] = %v lvl=%d seen=%v reason=%p\n", i, l, s.level[l.Var()], s.seen[l.Var()], s.reason[l.Var()])
+		fmt.Fprintf(os.Stderr, "  trail[%d] = %v lvl=%d seen=%v reason=%d\n", i, l, s.level[l.Var()], s.seen[l.Var()], s.reason[l.Var()])
 	}
 }
 
 // checkInvariants (debug only) verifies that no clause is fully false or
-// unnoticed-unit after propagation reached fixpoint.
+// unnoticed-unit after propagation reached fixpoint, and that every reason
+// clause holds its implied literal first (what locked and compact rely on).
 func (s *Solver) checkInvariants(where string) {
-	all := append([]*clause{}, s.clauses...)
-	all = append(all, s.learnts...)
-	for _, c := range all {
-		nFalse, nTrue, nUndef := 0, 0, 0
-		for _, l := range c.lits {
-			switch s.litValue(l) {
-			case lFalse:
-				nFalse++
-			case lTrue:
-				nTrue++
-			default:
-				nUndef++
+	for _, cs := range [][]cref{s.clauses, s.learnts} {
+		for _, c := range cs {
+			nFalse, nTrue, nUndef := 0, 0, 0
+			for _, l := range s.lits(c) {
+				switch s.litValue(l) {
+				case lFalse:
+					nFalse++
+				case lTrue:
+					nTrue++
+				default:
+					nUndef++
+				}
+			}
+			if nTrue == 0 && nUndef == 0 {
+				fmt.Fprintf(os.Stderr, "INVARIANT[%s]: clause %v fully false, dl=%d\n", where, s.lits(c), s.decisionLevel())
+				panic("missed conflict")
+			}
+			if nTrue == 0 && nUndef == 1 {
+				fmt.Fprintf(os.Stderr, "INVARIANT[%s]: clause %v unit undetected, dl=%d\n", where, s.lits(c), s.decisionLevel())
+				panic("missed unit")
 			}
 		}
-		if nTrue == 0 && nUndef == 0 {
-			fmt.Fprintf(os.Stderr, "INVARIANT[%s]: clause %v fully false, dl=%d\n", where, c.lits, s.decisionLevel())
-			panic("missed conflict")
-		}
-		if nTrue == 0 && nUndef == 1 {
-			fmt.Fprintf(os.Stderr, "INVARIANT[%s]: clause %v unit undetected, dl=%d\n", where, c.lits, s.decisionLevel())
-			panic("missed unit")
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef && s.lits(r)[0] != l {
+			fmt.Fprintf(os.Stderr, "INVARIANT[%s]: reason %v of %v does not lead with it\n", where, s.lits(r), l)
+			panic("misplaced implied literal")
 		}
 	}
 }

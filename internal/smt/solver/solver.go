@@ -78,6 +78,9 @@ type Solver struct {
 	// safe for terms that were never blasted: they are evaluated
 	// structurally over the snapshot.
 	model term.Assignment
+	// memo caches Value's subterm evaluations over model, so decoding a
+	// trace evaluates shared subterms once; snapshotModel resets it.
+	memo map[*term.Term]term.Value
 }
 
 // New returns a Solver with a fresh term builder.
@@ -226,8 +229,9 @@ func (s *Solver) checkAssuming(ctx context.Context, snapshot bool, assumptions .
 // assignment. Variables that never reached the SAT solver read as 0/false,
 // which is a legal completion since they are unconstrained.
 func (s *Solver) snapshotModel() {
-	m := make(term.Assignment, 64)
-	for _, v := range s.b.Vars() {
+	vars := s.b.Vars()
+	m := make(term.Assignment, len(vars))
+	for _, v := range vars {
 		if v.Sort() == term.Bool {
 			m[v] = term.BoolValue(s.bl.BoolValue(v))
 		} else {
@@ -235,6 +239,7 @@ func (s *Solver) snapshotModel() {
 		}
 	}
 	s.model = m
+	s.memo = make(map[*term.Term]term.Value)
 }
 
 // BoolValue returns the model value of a boolean term after Sat. The term
@@ -245,12 +250,13 @@ func (s *Solver) BoolValue(t *term.Term) bool { return s.Value(t).Bool }
 // IntValue returns the model value of an integer term after Sat.
 func (s *Solver) IntValue(t *term.Term) int64 { return s.Value(t).Int }
 
-// Value returns the model value of t after Sat.
+// Value returns the model value of t after Sat. Values are memoized per
+// model, so Value is not safe for concurrent use on one Solver.
 func (s *Solver) Value(t *term.Term) term.Value {
 	if s.model == nil {
 		panic("solver: Value called before a Sat result")
 	}
-	return term.Eval(t, s.model, s.opts.Width)
+	return term.EvalMemo(t, s.model, s.opts.Width, s.memo)
 }
 
 // Model returns the values of all variables created in the builder as of

@@ -30,8 +30,7 @@ type Assignment map[*Term]Value
 // arithmetic wraps to width bits in two's complement, matching the
 // bit-blasted semantics; pass width <= 0 for unbounded evaluation.
 func Eval(t *Term, a Assignment, width int) Value {
-	cache := make(map[*Term]Value)
-	return eval(t, a, width, cache)
+	return EvalMemo(t, a, width, make(map[*Term]Value))
 }
 
 func wrap(v int64, width int) int64 {
@@ -46,7 +45,10 @@ func wrap(v int64, width int) int64 {
 	return v
 }
 
-func eval(t *Term, a Assignment, width int, cache map[*Term]Value) Value {
+// EvalMemo is Eval with a caller-owned memo of subterm values, so several
+// evaluations under the same assignment and width share their common
+// subterms. A memo must only ever be used with one assignment and width.
+func EvalMemo(t *Term, a Assignment, width int, cache map[*Term]Value) Value {
 	if v, ok := cache[t]; ok {
 		return v
 	}
@@ -65,53 +67,53 @@ func eval(t *Term, a Assignment, width int, cache map[*Term]Value) Value {
 			v = IntValue(0)
 		}
 	case KindNot:
-		v = BoolValue(!eval(t.args[0], a, width, cache).Bool)
+		v = BoolValue(!EvalMemo(t.args[0], a, width, cache).Bool)
 	case KindAnd:
 		r := true
 		for _, x := range t.args {
-			r = r && eval(x, a, width, cache).Bool
+			r = r && EvalMemo(x, a, width, cache).Bool
 		}
 		v = BoolValue(r)
 	case KindOr:
 		r := false
 		for _, x := range t.args {
-			r = r || eval(x, a, width, cache).Bool
+			r = r || EvalMemo(x, a, width, cache).Bool
 		}
 		v = BoolValue(r)
 	case KindXor:
-		v = BoolValue(eval(t.args[0], a, width, cache).Bool != eval(t.args[1], a, width, cache).Bool)
+		v = BoolValue(EvalMemo(t.args[0], a, width, cache).Bool != EvalMemo(t.args[1], a, width, cache).Bool)
 	case KindImplies:
-		v = BoolValue(!eval(t.args[0], a, width, cache).Bool || eval(t.args[1], a, width, cache).Bool)
+		v = BoolValue(!EvalMemo(t.args[0], a, width, cache).Bool || EvalMemo(t.args[1], a, width, cache).Bool)
 	case KindIff:
-		v = BoolValue(eval(t.args[0], a, width, cache).Bool == eval(t.args[1], a, width, cache).Bool)
+		v = BoolValue(EvalMemo(t.args[0], a, width, cache).Bool == EvalMemo(t.args[1], a, width, cache).Bool)
 	case KindEq:
-		x, y := eval(t.args[0], a, width, cache), eval(t.args[1], a, width, cache)
+		x, y := EvalMemo(t.args[0], a, width, cache), EvalMemo(t.args[1], a, width, cache)
 		if x.Sort == Bool {
 			v = BoolValue(x.Bool == y.Bool)
 		} else {
 			v = BoolValue(x.Int == y.Int)
 		}
 	case KindLt:
-		v = BoolValue(eval(t.args[0], a, width, cache).Int < eval(t.args[1], a, width, cache).Int)
+		v = BoolValue(EvalMemo(t.args[0], a, width, cache).Int < EvalMemo(t.args[1], a, width, cache).Int)
 	case KindLe:
-		v = BoolValue(eval(t.args[0], a, width, cache).Int <= eval(t.args[1], a, width, cache).Int)
+		v = BoolValue(EvalMemo(t.args[0], a, width, cache).Int <= EvalMemo(t.args[1], a, width, cache).Int)
 	case KindAdd:
 		var s int64
 		for _, x := range t.args {
-			s = wrap(s+eval(x, a, width, cache).Int, width)
+			s = wrap(s+EvalMemo(x, a, width, cache).Int, width)
 		}
 		v = IntValue(s)
 	case KindSub:
-		v = IntValue(wrap(eval(t.args[0], a, width, cache).Int-eval(t.args[1], a, width, cache).Int, width))
+		v = IntValue(wrap(EvalMemo(t.args[0], a, width, cache).Int-EvalMemo(t.args[1], a, width, cache).Int, width))
 	case KindMul:
-		v = IntValue(wrap(eval(t.args[0], a, width, cache).Int*eval(t.args[1], a, width, cache).Int, width))
+		v = IntValue(wrap(EvalMemo(t.args[0], a, width, cache).Int*EvalMemo(t.args[1], a, width, cache).Int, width))
 	case KindNeg:
-		v = IntValue(wrap(-eval(t.args[0], a, width, cache).Int, width))
+		v = IntValue(wrap(-EvalMemo(t.args[0], a, width, cache).Int, width))
 	case KindIte:
-		if eval(t.args[0], a, width, cache).Bool {
-			v = eval(t.args[1], a, width, cache)
+		if EvalMemo(t.args[0], a, width, cache).Bool {
+			v = EvalMemo(t.args[1], a, width, cache)
 		} else {
-			v = eval(t.args[2], a, width, cache)
+			v = EvalMemo(t.args[2], a, width, cache)
 		}
 	default:
 		panic(fmt.Sprintf("term: Eval: unhandled kind %v", t.kind))

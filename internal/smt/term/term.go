@@ -12,6 +12,7 @@ package term
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -176,6 +177,7 @@ type key struct {
 type Builder struct {
 	interned map[key]*Term
 	vars     map[string]*Term
+	varList  []*Term // vars' values in creation order
 	next     int32
 
 	trueT  *Term
@@ -254,23 +256,13 @@ func (b *Builder) Var(name string, s Sort) *Term {
 	}
 	t := b.mk(KindVar, s, nil, 0, name)
 	b.vars[name] = t
+	b.varList = append(b.varList, t)
 	return t
 }
 
-// Vars returns all variables created so far, in creation order.
-func (b *Builder) Vars() []*Term {
-	out := make([]*Term, 0, len(b.vars))
-	for _, v := range b.vars {
-		out = append(out, v)
-	}
-	// creation order
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].id > out[j].id; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
+// Vars returns all variables created so far, in creation order. The slice
+// is shared with the builder; callers must not modify it.
+func (b *Builder) Vars() []*Term { return slices.Clip(b.varList) }
 
 // Not returns the negation of t, folding constants and double negation.
 func (b *Builder) Not(t *Term) *Term {
